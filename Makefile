@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: check check-fault check-store check-serve check-campaign test race bench bench-parallel bench-pipeline bench-obs bench-eval bench-serve vet build lint lint-json report
+.PHONY: check check-fault check-store check-serve check-campaign check-bench test race bench bench-parallel bench-pipeline bench-obs bench-eval bench-serve vet build lint lint-json report
 
 check:
 	@echo '== vet =='
@@ -22,6 +22,8 @@ check:
 	@$(MAKE) --no-print-directory check-serve
 	@echo '== check-campaign =='
 	@$(MAKE) --no-print-directory check-campaign
+	@echo '== check-bench =='
+	@$(MAKE) --no-print-directory check-bench
 	@echo '== race =='
 	@$(MAKE) --no-print-directory race
 	@echo '== check: all stages passed =='
@@ -103,6 +105,13 @@ check-campaign:
 	  kill -TERM $$srv; wait $$srv; drained=$$?; \
 	  rm -rf $(CAMPAIGN_DIR); \
 	  test $$first -eq 0 && test $$second -eq 0 && test $$resumed -eq 0 && test $$drained -eq 0
+
+# The benchmark module's own tests under the race detector: a toy-size
+# smoke run of every workload plus the harness's statistics. bench/ is a
+# separate module (bench/go.mod) that ./... does not reach, and its
+# gen-cold workload drives cli.GenerateVerified end to end.
+check-bench:
+	cd bench && $(GO) test -race ./...
 
 test:
 	$(GO) test ./...

@@ -49,52 +49,10 @@ type PeerReport struct {
 	DurMS         int64        `json:"dur_ms"`
 }
 
-// sweepCodec seals one format-sweep unit's per-mode reports. It reuses
-// the verify-shard wire shape but under its own name/version identity, so
+// sweepCodec seals one format-sweep unit's per-mode reports. It shares
+// the verify-shard wire shape but has its own name/version identity, so
 // sweep and verify artifacts can never alias.
-var sweepCodec = pipeline.Codec[[]verify.Report]{
-	Name:    "campaign-sweep",
-	Version: 1,
-	Encode: func(e *pipeline.Enc, reps []verify.Report) {
-		e.Int(len(reps))
-		for _, r := range reps {
-			e.Int(r.Format.Bits())
-			e.Int(r.Format.ExpBits())
-			e.Int(int(r.Mode))
-			e.U64(r.Checked)
-			e.Int(len(r.Mismatches))
-			for _, b := range r.Mismatches {
-				e.U64(b)
-			}
-		}
-	},
-	Decode: func(d *pipeline.Dec) ([]verify.Report, error) {
-		n := d.Len()
-		reps := make([]verify.Report, 0, n)
-		for i := 0; i < n; i++ {
-			bits, expBits := d.Int(), d.Int()
-			mode := fp.Mode(d.Int())
-			checked := d.U64()
-			m := d.Len()
-			var mm []uint64
-			for j := 0; j < m; j++ {
-				mm = append(mm, d.U64())
-			}
-			if d.Err() != nil {
-				return nil, d.Err()
-			}
-			f, err := fp.NewFormat(bits, expBits)
-			if err != nil {
-				return nil, fmt.Errorf("%w: sweep report %d: %v", pipeline.ErrCorrupt, i, err)
-			}
-			if mode < fp.RoundNearestEven || mode > fp.RoundToOdd {
-				return nil, fmt.Errorf("%w: sweep report %d: invalid mode %d", pipeline.ErrCorrupt, i, mode)
-			}
-			reps = append(reps, verify.Report{Format: f, Mode: mode, Checked: checked, Mismatches: mm})
-		}
-		return reps, nil
-	},
-}
+var sweepCodec = verify.ReportsCodec("campaign-sweep", 1)
 
 // WorkerConfig parameterizes one peer's campaign run.
 type WorkerConfig struct {
@@ -107,9 +65,10 @@ type WorkerConfig struct {
 	// Computed/InputsChecked attribution, never the sealed unit bytes.
 	Store pipeline.Store
 	Logf  pipeline.Logf
-	// OnUnit, when non-nil, observes every finished unit in completion
-	// order — the subprocess worker streams these as JSON lines so the
-	// monitor has a liveness signal between functions.
+	// OnUnit, when non-nil, observes every finished unit in manifest
+	// order, as each function's units finish — the subprocess worker
+	// streams these as JSON lines so the monitor has a liveness signal
+	// between functions.
 	OnUnit func(UnitResult)
 }
 
@@ -157,44 +116,31 @@ func RunWorker(ctx context.Context, cfg WorkerConfig) (*PeerReport, error) {
 		})
 
 		// Units 2..: the progressive sweep, one claimable unit per format,
-		// dealt round-robin so any peer-count split covers the list. Own
-		// units first — claim, compute, publish — then assemble the rest
-		// with the poll-for-live-peers fetch.
+		// dealt round-robin so any peer-count split covers the list. The
+		// store is passed even for a solo peer, so a warm rerun decodes
+		// every sealed sweep instead of recomputing it.
 		impl := verify.NewGenImpl(res)
-		compute := func(f fp.Format) func(context.Context) ([]verify.Report, error) {
-			return func(context.Context) ([]verify.Report, error) {
-				return verify.Exhaustive(impl, orc, f, fp.StandardModes, p.Workers), nil
-			}
+		sweeps := make([]UnitResult, len(formats))
+		reps, err := gen.RunUnits(ctx, cfg.Store, cfg.Shard, len(formats),
+			func(i int) pipeline.Key { return SweepKey(fn, fnOpt, formats[i].Bits()) },
+			sweepCodec,
+			func(_ context.Context, i int) ([]verify.Report, error) {
+				swStart := time.Now()
+				r := verify.Exhaustive(impl, orc, formats[i], fp.StandardModes, p.Workers)
+				sweeps[i] = UnitResult{Computed: true, DurMS: time.Since(swStart).Milliseconds()}
+				return r, nil
+			}, 1, nil, cfg.Logf)
+		if err != nil {
+			return rep, fmt.Errorf("campaign: %v sweep: %w", fn, err)
 		}
-		var fetch []int
 		for i, f := range formats {
-			if !cfg.Shard.Owns(i) {
-				fetch = append(fetch, i)
-				continue
+			ur := sweeps[i]
+			ur.Func, ur.FormatBits = fn.String(), f.Bits()
+			for _, r := range reps[i] {
+				ur.Checked += r.Checked
+				ur.Mismatches += len(r.Mismatches)
 			}
-			key := SweepKey(fn, fnOpt, f.Bits())
-			swStart := time.Now()
-			if !gen.Claim(cfg.Store, key, cfg.Shard, nil) {
-				fetch = append(fetch, i) // a peer took it over; assembled below
-				continue
-			}
-			stopHB := gen.StartClaimHeartbeat(ctx, cfg.Store, key, cfg.Shard)
-			reps, hit, err := pipeline.Run(ctx, cfg.Store, key, sweepCodec, cfg.Logf, compute(f))
-			stopHB()
-			if err != nil {
-				return rep, fmt.Errorf("campaign: %v sweep F%d,8: %w", fn, f.Bits(), err)
-			}
-			record(rep, cfg, sweepResult(fn.String(), f, reps, !hit, swStart))
-		}
-		for _, i := range fetch {
-			f := formats[i]
-			key := SweepKey(fn, fnOpt, f.Bits())
-			swStart := time.Now()
-			reps, err := gen.FetchUnit(ctx, cfg.Store, key, cfg.Shard, nil, cfg.Logf, sweepCodec, compute(f))
-			if err != nil {
-				return rep, fmt.Errorf("campaign: %v sweep F%d,8: %w", fn, f.Bits(), err)
-			}
-			record(rep, cfg, sweepResult(fn.String(), f, reps, false, swStart))
+			record(rep, cfg, ur)
 		}
 	}
 	rep.DurMS = time.Since(start).Milliseconds()
@@ -215,21 +161,6 @@ func countColdVerify(st pipeline.Store, fn bigmath.Func) int {
 		}
 	}
 	return n
-}
-
-// sweepResult folds one sweep unit's reports into a UnitResult.
-func sweepResult(fn string, f fp.Format, reps []verify.Report, computed bool, start time.Time) UnitResult {
-	ur := UnitResult{
-		Func:       fn,
-		FormatBits: f.Bits(),
-		Computed:   computed,
-		DurMS:      time.Since(start).Milliseconds(),
-	}
-	for _, r := range reps {
-		ur.Checked += r.Checked
-		ur.Mismatches += len(r.Mismatches)
-	}
-	return ur
 }
 
 // record folds a unit result into the peer report and streams it.

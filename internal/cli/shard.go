@@ -2,7 +2,6 @@ package cli
 
 import (
 	"context"
-	"fmt"
 
 	"repro/internal/bigmath"
 	"repro/internal/fp"
@@ -15,72 +14,24 @@ import (
 
 // Distributed verification. The exhaustive Verify/Repair sweeps dominate a
 // cold run, so they were the first workload split across processes: each
-// (level, pass) sweep of verify.Repair is partitioned into shard.N
+// (level, pass) sweep of verify.RepairWith is partitioned into shard.N
 // contiguous input slices, each slice a content-addressed work unit
-// (gen.VerifyShardKey) in the shared store. Every process computes the
-// units it owns (publishing a claim first), assembles the rest with
-// gen.FetchUnit — polling briefly for units a live peer has claimed,
-// computing locally otherwise — and merges the per-slice reports in
+// (gen.VerifyShardKey) in the shared store, and run through gen.RunUnits —
+// every process computes the slices it owns (publishing a claim first),
+// assembles the rest, polling briefly for slices a live peer has claimed
+// and computing them locally otherwise, and merges the per-slice reports in
 // ascending slice order. verify.MergeReports makes that merge
 // bit-identical to a solo sweep for any partition, and
 // gen.Result.AddSpecial keeps each level's special table sorted, so the
 // patch set — and therefore every emitted coefficient — is bit-identical
 // to a single-process run no matter which process computed which slice.
-// The claim protocol itself (poll/heartbeat/stall constants, FetchUnit)
-// lives in internal/gen, shared with the distributed solve units.
 
 // shardReportCodec encodes one verification work unit's per-mode reports.
-var shardReportCodec = pipeline.Codec[[]verify.Report]{
-	Name:    "verify-shard",
-	Version: 1,
-	Encode: func(e *pipeline.Enc, reps []verify.Report) {
-		e.Int(len(reps))
-		for _, r := range reps {
-			e.Int(r.Format.Bits())
-			e.Int(r.Format.ExpBits())
-			e.Int(int(r.Mode))
-			e.U64(r.Checked)
-			e.Int(len(r.Mismatches))
-			for _, b := range r.Mismatches {
-				e.U64(b)
-			}
-		}
-	},
-	Decode: func(d *pipeline.Dec) ([]verify.Report, error) {
-		n := d.Len()
-		reps := make([]verify.Report, 0, n)
-		for i := 0; i < n; i++ {
-			bits, expBits := d.Int(), d.Int()
-			mode := fp.Mode(d.Int())
-			checked := d.U64()
-			m := d.Len()
-			var mm []uint64
-			for j := 0; j < m; j++ {
-				mm = append(mm, d.U64())
-			}
-			if d.Err() != nil {
-				return nil, d.Err()
-			}
-			f, err := fp.NewFormat(bits, expBits)
-			if err != nil {
-				return nil, fmt.Errorf("%w: report %d: %v", pipeline.ErrCorrupt, i, err)
-			}
-			if mode < fp.RoundNearestEven || mode > fp.RoundToOdd {
-				return nil, fmt.Errorf("%w: report %d: invalid mode %d", pipeline.ErrCorrupt, i, mode)
-			}
-			reps = append(reps, verify.Report{Format: f, Mode: mode, Checked: checked, Mismatches: mm})
-		}
-		return reps, nil
-	},
-}
+var shardReportCodec = verify.ReportsCodec("verify-shard", 1)
 
-// repairSharded is verify.Repair with the exhaustive sweeps distributed:
-// it mirrors Repair's control flow exactly — per level, round-to-nearest
-// for the smaller levels and all standard modes for the last (or every,
-// under ProgressiveRO) level, two sweep-and-patch passes, the same
-// RepairBudget — but runs each sweep as shard.N store-mediated work units
-// instead of one in-process pool sweep. A solo shard or nil store is
-// exactly verify.Repair.
+// repairSharded is verify.Repair with each (level, pass) sweep run as
+// shard.N store-mediated work units. A solo shard or nil store sweeps
+// in-process, exactly like verify.Repair.
 //
 // Pass 1 of a level depends on the patches of pass 0: every process
 // assembles all pass-0 units and applies the identical (merged, mode-major,
@@ -90,73 +41,22 @@ var shardReportCodec = pipeline.Codec[[]verify.Report]{
 func repairSharded(ctx context.Context, st pipeline.Store, fn bigmath.Func, opt gen.Options,
 	shard gen.Shard, res *gen.Result, orc *oracle.Oracle) (int, error) {
 
-	if st == nil || shard.Solo() {
-		return verify.Repair(res, orc, opt.Workers)
+	if shard.Solo() {
+		st = nil
 	}
-	logf := pipeline.Logf(opt.Logf)
-	patched := 0
-	for li, lvl := range res.Levels {
-		modes := []fp.Mode{fp.RoundNearestEven}
-		if li == len(res.Levels)-1 || res.ProgressiveRO {
-			modes = fp.StandardModes
+	return verify.RepairWith(res, orc, func(li, pass int, modes []fp.Mode) ([]verify.Report, error) {
+		lvl := res.Levels[li]
+		units := parallel.SplitRange(lvl.NumValues(), shard.N)
+		// One unit at a time: each slice already sweeps on the pool.
+		per, err := gen.RunUnits(ctx, st, shard, len(units),
+			func(j int) pipeline.Key { return gen.VerifyShardKey(fn, opt, li, pass, j, len(units)) },
+			shardReportCodec,
+			func(_ context.Context, j int) ([]verify.Report, error) {
+				return verify.ExhaustiveLevelRange(res, orc, li, modes, opt.Workers, units[j].Lo, units[j].Hi), nil
+			}, 1, opt.Faults, pipeline.Logf(opt.Logf))
+		if err != nil {
+			return nil, err
 		}
-		ext := lvl.Extend(2)
-		for pass := 0; pass < 2; pass++ {
-			units := parallel.SplitRange(lvl.NumValues(), shard.N)
-			per := make([][]verify.Report, len(units))
-			compute := func(u parallel.Range) func(context.Context) ([]verify.Report, error) {
-				return func(context.Context) ([]verify.Report, error) {
-					return verify.ExhaustiveLevelRange(res, orc, li, modes, opt.Workers, u.Lo, u.Hi), nil
-				}
-			}
-			// Own units first: claim, compute, publish.
-			for j, u := range units {
-				if !shard.Mine(j) {
-					continue
-				}
-				key := gen.VerifyShardKey(fn, opt, li, pass, j, len(units))
-				if !gen.Claim(st, key, shard, opt.Faults) {
-					continue // a peer took this unit over; assembled below
-				}
-				stopHB := gen.StartClaimHeartbeat(ctx, st, key, shard)
-				reps, _, err := pipeline.Run(ctx, st, key, shardReportCodec, logf, compute(u))
-				stopHB()
-				if err != nil {
-					return patched, err
-				}
-				per[j] = reps
-			}
-			// Assemble the rest: poll for live peers, compute stragglers.
-			for j, u := range units {
-				if per[j] != nil {
-					continue
-				}
-				key := gen.VerifyShardKey(fn, opt, li, pass, j, len(units))
-				reps, err := gen.FetchUnit(ctx, st, key, shard, opt.Faults, logf, shardReportCodec, compute(u))
-				if err != nil {
-					return patched, err
-				}
-				per[j] = reps
-			}
-			merged := verify.MergeReports(lvl, modes, per)
-			total := 0
-			for _, rep := range merged {
-				total += len(rep.Mismatches)
-				for _, b := range rep.Mismatches {
-					x := lvl.Decode(b)
-					proxy := ext.Decode(orc.Result(x, ext, fp.RoundToOdd))
-					res.AddSpecial(li, x, proxy)
-					patched++
-				}
-			}
-			if total == 0 {
-				break
-			}
-			if total > verify.RepairBudget {
-				return patched, fmt.Errorf("verify: level %v has %d mismatches (budget %d)",
-					lvl, total, verify.RepairBudget)
-			}
-		}
-	}
-	return patched, nil
+		return verify.MergeReports(lvl, modes, per), nil
+	})
 }

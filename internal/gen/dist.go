@@ -5,17 +5,18 @@ import (
 	"time"
 
 	"repro/internal/fault"
+	"repro/internal/parallel"
 	"repro/internal/pipeline"
 )
 
 // Shared distribution machinery: the claim-poll/heartbeat protocol every
-// distributed stage rides on. Two workloads use it today — the exhaustive
-// verification slices (VerifyShardKey, assembled by internal/cli) and the
-// per-piece Clarkson solve units (SolveShardKey, assembled by the Solve
-// stage itself) — with identical semantics: a unit is an ordinary
-// content-addressed artifact, a claim is an advisory last-writer-wins
-// marker next to it, and liveness is judged by a monotonic heartbeat
-// stamp, never a clock.
+// distributed stage rides on, driven by one loop, RunUnits. Three workloads
+// use it — the exhaustive verification slices (VerifyShardKey, assembled
+// by internal/cli), the per-piece Clarkson solve units (SolveShardKey,
+// assembled by the Solve stage itself) and the campaign's format sweeps —
+// with identical semantics: a unit is an ordinary content-addressed
+// artifact, a claim is an advisory last-writer-wins marker next to it, and
+// liveness is judged by a monotonic heartbeat stamp, never a clock.
 
 // ClaimPollAttempts × ClaimPollInterval bounds how long an assembler
 // waits for a peer's claimed unit before computing it locally. The wait is
@@ -118,4 +119,58 @@ func FetchUnit[T any](ctx context.Context, st pipeline.Store, key pipeline.Key, 
 	}
 	v, _, err := pipeline.Run(ctx, st, key, codec, logf, compute)
 	return v, err
+}
+
+// RunUnits computes the n work units of one distributed step and returns
+// their values in index order. With a nil store it simply calls compute
+// for every unit on a workers pool — no pipeline.Run, no span, no store
+// event — which is the solo path. Otherwise it claims, heartbeats and
+// computes (through pipeline.Run) the units shard.Owns on the pool, then
+// assembles the rest in index order with FetchUnit: peers' published units
+// are read back, and units no live peer is computing are computed here.
+// Unit values are deterministic, so the assembled slice is identical for
+// any shard split and any worker count.
+func RunUnits[T any](ctx context.Context, st pipeline.Store, shard Shard, n int,
+	key func(int) pipeline.Key, codec pipeline.Codec[T], compute func(context.Context, int) (T, error),
+	workers int, faults *fault.Plan, logf pipeline.Logf) ([]T, error) {
+
+	out := make([]T, n)
+	if st == nil {
+		err := parallel.ForEachErr(ctx, workers, n, func(i int) (err error) {
+			out[i], err = compute(ctx, i)
+			return err
+		})
+		return out, err
+	}
+	unit := func(i int) func(context.Context) (T, error) {
+		return func(ctx context.Context) (T, error) { return compute(ctx, i) }
+	}
+	done := make([]bool, n)
+	if err := parallel.ForEachErr(ctx, workers, n, func(i int) error {
+		k := key(i)
+		if !shard.Owns(i) || !Claim(st, k, shard, faults) {
+			return nil // a peer's unit, or one a peer took over; assembled below
+		}
+		stopHB := StartClaimHeartbeat(ctx, st, k, shard)
+		v, _, err := pipeline.Run(ctx, st, k, codec, logf, unit(i))
+		stopHB()
+		if err != nil {
+			return err
+		}
+		out[i], done[i] = v, true
+		return nil
+	}); err != nil {
+		return out, err
+	}
+	for i := range out {
+		if done[i] {
+			continue
+		}
+		v, err := FetchUnit(ctx, st, key(i), shard, faults, logf, codec, unit(i))
+		if err != nil {
+			return out, err
+		}
+		out[i] = v
+	}
+	return out, nil
 }

@@ -41,15 +41,12 @@ func (s Shard) Owner() string { return fmt.Sprintf("shard-%d.%d", s.K, s.N) }
 
 func (s Shard) String() string { return fmt.Sprintf("%d/%d", s.K, s.N) }
 
-// Mine reports whether work unit j of the run's N-unit partition is
-// assigned to this shard.
-func (s Shard) Mine(j int) bool { return s.Solo() || j == s.K }
-
-// Owns reports whether work unit j of an arbitrary-length work list is
-// assigned to this shard. Unlike Mine — which matches partitions built
-// with exactly N units — Owns deals units round-robin (unit j belongs to
-// shard j mod N), so it distributes work lists of any length, like the
-// per-piece solve units whose count follows the adaptive escalation.
+// Owns reports whether work unit j of a work list is assigned to this
+// shard. It is the one ownership rule of every distributed step: units are
+// dealt round-robin (unit j belongs to shard j mod N), so it distributes
+// work lists of any length — the per-piece solve units, whose count
+// follows the adaptive escalation, as well as the at-most-N verification
+// slices of parallel.SplitRange, where it gives slice j to shard j.
 func (s Shard) Owns(j int) bool { return s.Solo() || j%s.N == s.K }
 
 // ParseShard parses a -shard flag value "k/n"; the empty string is the

@@ -242,10 +242,10 @@ type pieceOut struct {
 // with an identically seeded generator — the injection plan's occurrence
 // counters have moved past the scheduled faults, so the replay reproduces
 // the no-fault solve bit for bit. A non-solo shard with a live store runs
-// the pieces as distributed work units instead of one in-process pool
-// sweep (see solvePiecesSharded); the merged kernel is bit-identical
-// either way. It returns (nil, nil) when the ladder ran dry, leaving the
-// rescue decision to solveKernel.
+// the pieces as distributed work units (RunUnits, dealt round-robin by
+// Shard.Owns because the piece count follows the escalation); the merged
+// kernel is bit-identical either way. It returns (nil, nil) when the
+// ladder ran dry, leaving the rescue decision to solveKernel.
 func solveKernelAttempt(ctx context.Context, fn bigmath.Func, scheme reduction.Scheme, cs *constraintSet, p int,
 	opt Options, forceExact bool, store pipeline.Store, shard Shard, res *Result, logf func(string, ...interface{})) (*KernelPoly, error) {
 
@@ -299,20 +299,14 @@ func solveKernelAttempt(ctx context.Context, fn bigmath.Func, scheme reduction.S
 				}
 			}
 		}
-		outs := make([]pieceOut, pieces)
-		if store != nil && !shard.Solo() {
-			if err := solvePiecesSharded(ctx, store, fn, shard, opt, p, pieces, outs,
-				computePiece, pipeline.Logf(logf)); err != nil {
-				return nil, err
-			}
-		} else if err := parallel.ForEachErr(ctx, opt.Workers, pieces, func(pi int) error {
-			out, err := computePiece(ctx, pi)
-			if err != nil {
-				return err
-			}
-			outs[pi] = out
-			return nil
-		}); err != nil {
+		unitStore := store
+		if shard.Solo() {
+			unitStore = nil
+		}
+		outs, err := RunUnits(ctx, unitStore, shard, pieces,
+			func(pi int) pipeline.Key { return SolveShardKey(fn, opt, p, pieces, pi) },
+			solveUnitCodec, computePiece, opt.Workers, opt.Faults, logf)
+		if err != nil {
 			return nil, poolFault(err, StageSolve, fn)
 		}
 		kp := &KernelPoly{Structure: st}

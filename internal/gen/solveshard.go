@@ -1,11 +1,9 @@
 package gen
 
 import (
-	"context"
 	"fmt"
 
 	"repro/internal/bigmath"
-	"repro/internal/parallel"
 	"repro/internal/pipeline"
 )
 
@@ -39,169 +37,70 @@ func SolveShardKey(fn bigmath.Func, opt Options, kernel, pieces, pi int) pipelin
 	}
 }
 
-// solveUnit is the sealed form of one piece solve's outcome. The
-// deterministic effort stats ride along because ResultCodec seals them
-// into the solve artifact: a peer assembling fetched units must reproduce
-// the exact Stats a solo run accumulates, or the sealed solve artifact
-// would differ by process count. The volatile retries count (injected-
-// fault replays, local to whichever process consumed the injection) is
-// deliberately excluded, mirroring its exclusion from ResultCodec.
-type solveUnit struct {
-	Found       bool
-	Lo, Hi      float64
-	Coeffs      []float64
-	LevelTerms  []int
-	Viols       []violation
-	Attempts    int
-	Iters       int
-	Lucky       int
-	ExactSolves int
-}
-
-// unit converts a computed pieceOut to its sealed form.
-func (o pieceOut) unit() solveUnit {
-	u := solveUnit{
-		Found:       o.found,
-		Viols:       o.viols,
-		Attempts:    o.stats.attempts,
-		Iters:       o.stats.iters,
-		Lucky:       o.stats.lucky,
-		ExactSolves: o.stats.exactSolves,
-	}
-	if o.found {
-		u.Lo, u.Hi = o.piece.Lo, o.piece.Hi
-		u.Coeffs = o.piece.Coeffs
-		u.LevelTerms = o.piece.LevelTerms
-	}
-	return u
-}
-
-// out converts a decoded solveUnit back to the merge-ready pieceOut.
-func (u solveUnit) out() pieceOut {
-	o := pieceOut{
-		found: u.Found,
-		viols: u.Viols,
-		stats: solveStats{
-			attempts:    u.Attempts,
-			iters:       u.Iters,
-			lucky:       u.Lucky,
-			exactSolves: u.ExactSolves,
-		},
-	}
-	if u.Found {
-		o.piece = &Piece{Lo: u.Lo, Hi: u.Hi, Coeffs: u.Coeffs, LevelTerms: u.LevelTerms}
-	}
-	return o
-}
-
-// solveUnitCodec encodes one solve work unit.
-var solveUnitCodec = pipeline.Codec[solveUnit]{
+// solveUnitCodec seals one piece solve's outcome. The deterministic effort
+// stats ride along because ResultCodec seals them into the solve artifact:
+// a peer assembling fetched units must reproduce the exact Stats a solo run
+// accumulates, or the sealed solve artifact would differ by process count.
+// The volatile retries count (injected-fault replays, local to whichever
+// process consumed the injection) is deliberately excluded, mirroring its
+// exclusion from ResultCodec.
+var solveUnitCodec = pipeline.Codec[pieceOut]{
 	Name:    "solve-shard",
 	Version: 1,
-	Encode: func(e *pipeline.Enc, u solveUnit) {
-		e.Bool(u.Found)
-		e.F64(u.Lo)
-		e.F64(u.Hi)
-		e.Int(len(u.Coeffs))
-		for _, c := range u.Coeffs {
+	Encode: func(e *pipeline.Enc, o pieceOut) {
+		piece := Piece{}
+		if o.found {
+			piece = *o.piece
+		}
+		e.Bool(o.found)
+		e.F64(piece.Lo)
+		e.F64(piece.Hi)
+		e.Int(len(piece.Coeffs))
+		for _, c := range piece.Coeffs {
 			e.F64(c)
 		}
-		e.Int(len(u.LevelTerms))
-		for _, t := range u.LevelTerms {
+		e.Int(len(piece.LevelTerms))
+		for _, t := range piece.LevelTerms {
 			e.Int(t)
 		}
-		e.Int(len(u.Viols))
-		for _, v := range u.Viols {
+		e.Int(len(o.viols))
+		for _, v := range o.viols {
 			e.Int(v.level)
 			e.Int(v.row)
 		}
-		e.Int(u.Attempts)
-		e.Int(u.Iters)
-		e.Int(u.Lucky)
-		e.Int(u.ExactSolves)
+		e.Int(o.stats.attempts)
+		e.Int(o.stats.iters)
+		e.Int(o.stats.lucky)
+		e.Int(o.stats.exactSolves)
 	},
-	Decode: func(d *pipeline.Dec) (solveUnit, error) {
-		u := solveUnit{Found: d.Bool(), Lo: d.F64(), Hi: d.F64()}
+	Decode: func(d *pipeline.Dec) (pieceOut, error) {
+		o := pieceOut{found: d.Bool()}
+		piece := &Piece{Lo: d.F64(), Hi: d.F64()}
 		for n := d.Len(); n > 0; n-- {
-			u.Coeffs = append(u.Coeffs, d.F64())
+			piece.Coeffs = append(piece.Coeffs, d.F64())
 		}
 		for n := d.Len(); n > 0; n-- {
-			u.LevelTerms = append(u.LevelTerms, d.Int())
+			piece.LevelTerms = append(piece.LevelTerms, d.Int())
 		}
 		for n := d.Len(); n > 0; n-- {
-			u.Viols = append(u.Viols, violation{level: d.Int(), row: d.Int()})
+			o.viols = append(o.viols, violation{level: d.Int(), row: d.Int()})
 		}
-		u.Attempts, u.Iters = d.Int(), d.Int()
-		u.Lucky, u.ExactSolves = d.Int(), d.Int()
+		o.stats.attempts, o.stats.iters = d.Int(), d.Int()
+		o.stats.lucky, o.stats.exactSolves = d.Int(), d.Int()
 		if d.Err() != nil {
-			return solveUnit{}, d.Err()
+			return pieceOut{}, d.Err()
 		}
-		for _, v := range u.Viols {
+		for _, v := range o.viols {
 			if v.level < 0 || v.row < 0 {
-				return solveUnit{}, fmt.Errorf("%w: negative violation index", pipeline.ErrCorrupt)
+				return pieceOut{}, fmt.Errorf("%w: negative violation index", pipeline.ErrCorrupt)
 			}
 		}
-		if u.Found && len(u.Coeffs) == 0 {
-			return solveUnit{}, fmt.Errorf("%w: found piece with no coefficients", pipeline.ErrCorrupt)
+		if o.found {
+			if len(piece.Coeffs) == 0 {
+				return pieceOut{}, fmt.Errorf("%w: found piece with no coefficients", pipeline.ErrCorrupt)
+			}
+			o.piece = piece
 		}
-		return u, nil
+		return o, nil
 	},
-}
-
-// solvePiecesSharded fills outs with one escalation attempt's piece
-// results via store-mediated work units: own pieces first — claim,
-// compute on the pool, publish — then the rest assembled with FetchUnit
-// (poll a live peer's claim, compute stragglers locally). Pieces are dealt
-// round-robin (Shard.Owns) because the piece count follows the adaptive
-// escalation and need not match the shard count. The caller merges outs in
-// piece order, so the assembled kernel — including the sealed effort
-// stats — is bit-identical to a solo run for any partition.
-func solvePiecesSharded(ctx context.Context, store pipeline.Store, fn bigmath.Func, shard Shard,
-	opt Options, p, pieces int, outs []pieceOut,
-	computePiece func(context.Context, int) (pieceOut, error), logf pipeline.Logf) error {
-
-	unitFor := func(pi int) func(context.Context) (solveUnit, error) {
-		return func(ctx context.Context) (solveUnit, error) {
-			out, err := computePiece(ctx, pi)
-			if err != nil {
-				return solveUnit{}, err
-			}
-			return out.unit(), nil
-		}
-	}
-	done := make([]bool, pieces)
-	// Own units first: claim, compute, publish — concurrently on the pool.
-	if err := parallel.ForEachErr(ctx, opt.Workers, pieces, func(pi int) error {
-		if !shard.Owns(pi) {
-			return nil
-		}
-		key := SolveShardKey(fn, opt, p, pieces, pi)
-		if !Claim(store, key, shard, opt.Faults) {
-			return nil // a peer took this unit over; assembled below
-		}
-		stopHB := StartClaimHeartbeat(ctx, store, key, shard)
-		u, _, err := pipeline.Run(ctx, store, key, solveUnitCodec, logf, unitFor(pi))
-		stopHB()
-		if err != nil {
-			return err
-		}
-		outs[pi] = u.out()
-		done[pi] = true
-		return nil
-	}); err != nil {
-		return poolFault(err, StageSolve, fn)
-	}
-	// Assemble the rest: poll for live peers, compute stragglers.
-	for pi := 0; pi < pieces; pi++ {
-		if done[pi] {
-			continue
-		}
-		key := SolveShardKey(fn, opt, p, pieces, pi)
-		u, err := FetchUnit(ctx, store, key, shard, opt.Faults, logf, solveUnitCodec, unitFor(pi))
-		if err != nil {
-			return err
-		}
-		outs[pi] = u.out()
-	}
-	return nil
 }

@@ -119,7 +119,7 @@ func GenerateStaged(ctx context.Context, fn bigmath.Func, opt Options, store pip
 // GenerateStagedSharded is GenerateStaged for one process of a distributed
 // run: the per-piece Clarkson solves inside the Solve stage become
 // claimable work units in the shared store (see SolveShardKey and
-// solvePiecesSharded), so N processes sharing one store split each
+// RunUnits), so N processes sharing one store split each
 // escalation attempt's pieces and assemble the solve artifact
 // bit-identically to a solo run for any partition. A solo shard (or nil
 // store) is exactly GenerateStaged. Sharding is a separate parameter

@@ -1,7 +1,6 @@
 package libm
 
 import (
-	"context"
 	"errors"
 	"sync"
 
@@ -40,11 +39,13 @@ func Kernel(fn bigmath.Func, out fp.Format, mode fp.Mode) (*eval.Kernel, error) 
 	if err != nil {
 		return nil, err
 	}
+	// Width first: the sentinel is prebuilt, where Compile's own too-wide
+	// error would be formatted (and allocated) on every call.
+	if _, ok := res.ServingLevel(out, mode); !ok {
+		return nil, errFor(&errTooWide, fn)
+	}
 	k, err := eval.Compile(res, out, mode)
 	if err != nil {
-		if _, ok := res.ServingLevel(out, mode); !ok {
-			return nil, errFor(&errTooWide, fn)
-		}
 		return nil, err
 	}
 	v, _ := kernels.LoadOrStore(key, k)
@@ -68,22 +69,6 @@ func EvalBatch(fn bigmath.Func, dst []uint64, src []float64, out fp.Format, mode
 	return nil
 }
 
-// EvalBatchCtx is EvalBatch with per-request cancellation: the kernel
-// checks ctx between chunks, so a deadline or a departed client stops the
-// batch early. Outputs written before cancellation are bit-identical to
-// EvalBatch's; the returned error is ctx.Err() on cancellation, or the
-// kernel-lookup error otherwise.
-func EvalBatchCtx(ctx context.Context, fn bigmath.Func, dst []uint64, src []float64, out fp.Format, mode fp.Mode) error {
-	if len(dst) < len(src) {
-		return ErrShortDst
-	}
-	k, err := Kernel(fn, out, mode)
-	if err != nil {
-		return err
-	}
-	return k.EvalBatchCtx(ctx, dst, src)
-}
-
 // ErrShortDst reports a destination slice shorter than the source.
 var ErrShortDst = errors.New("libm: dst shorter than src")
 
@@ -96,56 +81,37 @@ const batchChunk = 256
 // polynomial (the paper's k₃-term truncated evaluation). dst must be at
 // least as long as src.
 func Bfloat16Batch(fn bigmath.Func, dst, src []uint16) error {
-	if len(dst) < len(src) {
-		return ErrShortDst
-	}
-	k, err := Kernel(fn, fp.Bfloat16, fp.RoundNearestEven)
-	if err != nil {
-		return err
-	}
-	var xs [batchChunk]float64
-	var ys [batchChunk]uint64
-	for len(src) > 0 {
-		n := len(src)
-		if n > batchChunk {
-			n = batchChunk
-		}
-		for i := 0; i < n; i++ {
-			xs[i] = fp.Bfloat16.Decode(uint64(src[i]))
-		}
-		k.EvalBatch(ys[:n], xs[:n])
-		for i := 0; i < n; i++ {
-			dst[i] = uint16(ys[i])
-		}
-		src, dst = src[n:], dst[n:]
-	}
-	return nil
+	return batchBits(fn, fp.Bfloat16, dst, src)
 }
 
 // TensorFloat32Batch computes fn over a slice of tensorfloat32 (19-bit)
 // patterns with round-to-nearest, evaluating the k₂-term truncated prefix.
 // dst must be at least as long as src.
 func TensorFloat32Batch(fn bigmath.Func, dst, src []uint32) error {
+	return batchBits(fn, fp.TensorFloat32, dst, src)
+}
+
+// batchBits is the body of the bit-width helpers: it decodes src chunk by
+// chunk through fixed stack buffers, runs f's round-to-nearest kernel and
+// narrows the result patterns into dst.
+func batchBits[T uint16 | uint32](fn bigmath.Func, f fp.Format, dst, src []T) error {
 	if len(dst) < len(src) {
 		return ErrShortDst
 	}
-	k, err := Kernel(fn, fp.TensorFloat32, fp.RoundNearestEven)
+	k, err := Kernel(fn, f, fp.RoundNearestEven)
 	if err != nil {
 		return err
 	}
 	var xs [batchChunk]float64
 	var ys [batchChunk]uint64
 	for len(src) > 0 {
-		n := len(src)
-		if n > batchChunk {
-			n = batchChunk
-		}
+		n := min(len(src), batchChunk)
 		for i := 0; i < n; i++ {
-			xs[i] = fp.TensorFloat32.Decode(uint64(src[i]))
+			xs[i] = f.Decode(uint64(src[i]))
 		}
 		k.EvalBatch(ys[:n], xs[:n])
 		for i := 0; i < n; i++ {
-			dst[i] = uint32(ys[i])
+			dst[i] = T(ys[i])
 		}
 		src, dst = src[n:], dst[n:]
 	}

@@ -48,8 +48,9 @@ func TestSentinelErrors(t *testing.T) {
 }
 
 // TestSentinelErrorsZeroAllocs pins "allocation-free error path": the
-// wrapped sentinels are prebuilt, so a missing-table call costs no
-// fmt.Errorf.
+// wrapped sentinels are prebuilt, so a missing-table or too-wide call
+// costs no fmt.Errorf — including through Kernel and EvalBatch, which
+// check the width before compiling.
 func TestSentinelErrorsZeroAllocs(t *testing.T) {
 	fn := bigmath.CosPi
 	oldP, oldB := progressive[fn], rlibmAll[fn]
@@ -67,6 +68,23 @@ func TestSentinelErrorsZeroAllocs(t *testing.T) {
 		}
 	}); n != 0 {
 		t.Errorf("missing-table error path allocates %v times per run", n)
+	}
+
+	res, err := Progressive(bigmath.Log2)
+	if err != nil {
+		t.Skip("no committed tables")
+	}
+	wide := res.Levels[len(res.Levels)-1].Extend(4)
+	dst, src := make([]uint64, 1), []float64{1.5}
+	if n := testing.AllocsPerRun(100, func() {
+		if _, err := Kernel(bigmath.Log2, wide, fp.RoundNearestEven); !errors.Is(err, ErrTooWide) {
+			t.Fatalf("Kernel(too wide) = %v, want ErrTooWide", err)
+		}
+		if err := EvalBatch(bigmath.Log2, dst, src, wide, fp.RoundNearestEven); !errors.Is(err, ErrTooWide) {
+			t.Fatalf("EvalBatch(too wide) = %v, want ErrTooWide", err)
+		}
+	}); n != 0 {
+		t.Errorf("too-wide error path allocates %v times per run", n)
 	}
 }
 

@@ -20,6 +20,7 @@ import (
 	"repro/internal/gen"
 	"repro/internal/oracle"
 	"repro/internal/parallel"
+	"repro/internal/pipeline"
 )
 
 // Impl is any math-library implementation of one elementary function that
@@ -133,6 +134,55 @@ func MergeReports(f fp.Format, modes []fp.Mode, per [][]Report) []Report {
 	return merged
 }
 
+// ReportsCodec is the sealed form of one work unit's per-mode reports —
+// the shape of every distributed verification unit — under the codec
+// identity (name, version) of the unit kind, so units of different kinds
+// share one wire shape yet can never alias.
+func ReportsCodec(name string, version uint32) pipeline.Codec[[]Report] {
+	return pipeline.Codec[[]Report]{
+		Name:    name,
+		Version: version,
+		Encode: func(e *pipeline.Enc, reps []Report) {
+			e.Int(len(reps))
+			for _, r := range reps {
+				e.Int(r.Format.Bits())
+				e.Int(r.Format.ExpBits())
+				e.Int(int(r.Mode))
+				e.U64(r.Checked)
+				e.Int(len(r.Mismatches))
+				for _, b := range r.Mismatches {
+					e.U64(b)
+				}
+			}
+		},
+		Decode: func(d *pipeline.Dec) ([]Report, error) {
+			n := d.Len()
+			reps := make([]Report, 0, n)
+			for i := 0; i < n; i++ {
+				bits, expBits := d.Int(), d.Int()
+				mode := fp.Mode(d.Int())
+				checked := d.U64()
+				var mm []uint64
+				for m := d.Len(); m > 0; m-- {
+					mm = append(mm, d.U64())
+				}
+				if d.Err() != nil {
+					return nil, d.Err()
+				}
+				f, err := fp.NewFormat(bits, expBits)
+				if err != nil {
+					return nil, fmt.Errorf("%w: report %d: %v", pipeline.ErrCorrupt, i, err)
+				}
+				if mode < fp.RoundNearestEven || mode > fp.RoundToOdd {
+					return nil, fmt.Errorf("%w: report %d: invalid mode %d", pipeline.ErrCorrupt, i, mode)
+				}
+				reps = append(reps, Report{Format: f, Mode: mode, Checked: checked, Mismatches: mm})
+			}
+			return reps, nil
+		},
+	}
+}
+
 // Exhaustive checks impl against the oracle over every input of format f
 // under mode, sharded over up to workers goroutines. The oracle derives
 // every standard mode from one round-to-odd result at f+2 bits (the
@@ -183,9 +233,15 @@ func (g genImpl) Bits(x float64, out fp.Format, mode fp.Mode) uint64 {
 	return g.res.Eval(x, li, out, mode)
 }
 
-// RepairBudget bounds how many mismatched inputs Repair may patch per
+// repairBudget bounds how many mismatched inputs Repair may patch per
 // level before declaring the implementation broken.
-const RepairBudget = 64
+const repairBudget = 64
+
+// LevelSweep checks every input of level li of the result being repaired
+// under modes, in sweep-and-patch pass pass (0 or 1), and returns one
+// Report per mode. RepairWith calls it with the patches of every earlier
+// sweep already applied.
+type LevelSweep func(li, pass int, modes []fp.Mode) ([]Report, error)
 
 // Repair exhaustively verifies each level of a generated result and
 // patches mismatching inputs into the level's special-input table (with
@@ -198,6 +254,16 @@ const RepairBudget = 64
 // and in mismatch order, so the repaired result is worker-count-
 // independent.
 func Repair(res *gen.Result, orc *oracle.Oracle, workers int) (int, error) {
+	return RepairWith(res, orc, func(li, _ int, modes []fp.Mode) ([]Report, error) {
+		return ExhaustiveLevel(res, orc, li, modes, workers), nil
+	})
+}
+
+// RepairWith is Repair with the per-(level, pass) sweep supplied by the
+// caller — the distributed verifier in internal/cli runs each sweep as
+// store-mediated work units. Any sweep whose reports equal ExhaustiveLevel's
+// yields the identical patch set.
+func RepairWith(res *gen.Result, orc *oracle.Oracle, sweep LevelSweep) (int, error) {
 	patched := 0
 	for li, lvl := range res.Levels {
 		modes := []fp.Mode{fp.RoundNearestEven}
@@ -206,8 +272,12 @@ func Repair(res *gen.Result, orc *oracle.Oracle, workers int) (int, error) {
 		}
 		ext := lvl.Extend(2)
 		for pass := 0; pass < 2; pass++ {
+			reps, err := sweep(li, pass, modes)
+			if err != nil {
+				return patched, err
+			}
 			total := 0
-			for _, rep := range ExhaustiveLevel(res, orc, li, modes, workers) {
+			for _, rep := range reps {
 				total += len(rep.Mismatches)
 				for _, b := range rep.Mismatches {
 					x := lvl.Decode(b)
@@ -219,9 +289,9 @@ func Repair(res *gen.Result, orc *oracle.Oracle, workers int) (int, error) {
 			if total == 0 {
 				break
 			}
-			if total > RepairBudget {
+			if total > repairBudget {
 				return patched, fmt.Errorf("verify: level %v has %d mismatches (budget %d)",
-					lvl, total, RepairBudget)
+					lvl, total, repairBudget)
 			}
 		}
 	}

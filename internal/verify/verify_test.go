@@ -1,13 +1,17 @@
 package verify
 
 import (
+	"bytes"
+	"errors"
 	"math"
+	"reflect"
 	"testing"
 
 	"repro/internal/bigmath"
 	"repro/internal/fp"
 	"repro/internal/gen"
 	"repro/internal/oracle"
+	"repro/internal/pipeline"
 )
 
 func smallResult(t *testing.T, fn bigmath.Func) *gen.Result {
@@ -134,5 +138,68 @@ func TestReportString(t *testing.T) {
 	r.Mismatches = []uint64{1}
 	if r.Correct() {
 		t.Error("mismatch not reflected")
+	}
+}
+
+// TestReportsCodec covers both sealed identities of the shared
+// []Report wire shape — distributed verification slices and campaign
+// format sweeps: the layout is pinned byte for byte (sealed units from
+// earlier runs must keep decoding), reports round-trip, and an invalid
+// format or mode decodes to ErrCorrupt.
+func TestReportsCodec(t *testing.T) {
+	reps := []Report{
+		{Format: fp.MustFormat(12, 8), Mode: fp.RoundNearestEven, Checked: 4096},
+		{Format: fp.MustFormat(12, 8), Mode: fp.RoundToOdd, Checked: 4096, Mismatches: []uint64{7, 4095}},
+	}
+	var want pipeline.Enc
+	want.Int(len(reps))
+	for _, r := range reps {
+		want.Int(12)
+		want.Int(8)
+		want.Int(int(r.Mode))
+		want.U64(r.Checked)
+		want.Int(len(r.Mismatches))
+		for _, b := range r.Mismatches {
+			want.U64(b)
+		}
+	}
+	for _, name := range []string{"verify-shard", "campaign-sweep"} {
+		c := ReportsCodec(name, 1)
+		if c.Name != name || c.Version != 1 {
+			t.Fatalf("codec identity = %s/v%d, want %s/v1", c.Name, c.Version, name)
+		}
+		var e pipeline.Enc
+		c.Encode(&e, reps)
+		if !bytes.Equal(e.Bytes(), want.Bytes()) {
+			t.Fatalf("%s: encoded layout changed", name)
+		}
+		d := pipeline.NewDec(e.Bytes())
+		got, err := c.Decode(d)
+		if err != nil || d.Done() != nil {
+			t.Fatalf("%s: decode: %v / %v", name, err, d.Done())
+		}
+		if !reflect.DeepEqual(got, reps) {
+			t.Errorf("%s: round trip = %+v, want %+v", name, got, reps)
+		}
+
+		for _, bad := range []struct {
+			what                string
+			bits, expBits, mode int
+		}{
+			{"format", 12, 0, int(fp.RoundNearestEven)},
+			{"mode", 12, 8, int(fp.RoundToOdd) + 1},
+			{"negative mode", 12, 8, -1},
+		} {
+			var e pipeline.Enc
+			e.Int(1)
+			e.Int(bad.bits)
+			e.Int(bad.expBits)
+			e.Int(bad.mode)
+			e.U64(1)
+			e.Int(0)
+			if _, err := c.Decode(pipeline.NewDec(e.Bytes())); !errors.Is(err, pipeline.ErrCorrupt) {
+				t.Errorf("%s: invalid %s decodes to %v, want ErrCorrupt", name, bad.what, err)
+			}
+		}
 	}
 }
