@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: check check-fault check-store check-serve check-campaign check-bench test race bench bench-parallel bench-pipeline bench-obs bench-eval bench-serve vet build lint lint-json report
+.PHONY: check check-fault check-store check-serve check-campaign check-bench test race bench bench-parallel bench-pipeline bench-obs bench-eval bench-serve vet build lint lint-json report loc
 
 check:
 	@echo '== vet =='
@@ -81,15 +81,15 @@ check-serve:
 # against an rlibm-store peer with a deliberately tiny eviction budget —
 # all race-instrumented — must report a CORRECT sweep, and rerunning the
 # identical command against the still-warm store must report a resumed
-# campaign. BENCH_campaign.json and campaign_report.json land in the repo
-# root for CI to upload (DESIGN.md §14).
+# campaign — the store pins the manifest by default, so nothing has to
+# ask it to. BENCH_campaign.json and campaign_report.json land in the
+# repo root for CI to upload (DESIGN.md §14).
 check-campaign:
 	$(GO) test -race -timeout 10m ./internal/campaign/
 	$(eval CAMPAIGN_DIR := $(shell mktemp -d))
 	$(GO) build -race -o $(CAMPAIGN_DIR)/rlibm-store ./cmd/rlibm-store
 	$(GO) build -race -o $(CAMPAIGN_DIR)/rlibm-campaign ./cmd/rlibm-campaign
-	$(CAMPAIGN_DIR)/rlibm-store -listen 127.0.0.1:8095 -mem -max-bytes 4096 \
-	  -pin-stages campaign-manifest & \
+	$(CAMPAIGN_DIR)/rlibm-store -listen 127.0.0.1:8095 -mem -max-bytes 4096 & \
 	  srv=$$!; \
 	  sleep 1; \
 	  $(CAMPAIGN_DIR)/rlibm-campaign -store tcp://127.0.0.1:8095 -peers 2 \
@@ -115,6 +115,11 @@ check-bench:
 
 test:
 	$(GO) test ./...
+
+# Hand-written non-test Go lines: tracked .go files minus tests, the
+# generated zz_* tables and the separate bench/ module.
+loc:
+	@git ls-files '*.go' | grep -v '_test\.go$$' | grep -v '\(^\|/\)zz_' | grep -v '^bench/' | xargs cat | wc -l
 
 # The clarkson suite alone runs ~9 min under -race on one core; give the
 # binary headroom over go test's 10-minute default so a loaded machine

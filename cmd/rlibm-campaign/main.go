@@ -6,16 +6,14 @@
 // shared store, survives peer death mid-run, and aggregates the per-unit
 // verify reports into campaign_report.json and BENCH_campaign.json.
 //
-// Two execution modes:
-//
-//   - subprocess (default): the driver re-executes its own binary once
-//     per peer with -campaign-worker -shard k/n; workers stream progress
-//     as @rlibm-campaign-unit JSON lines and finish with one
-//     @rlibm-campaign-peer line, and a worker that dies is relaunched up
-//     to -max-restarts times. Requires a store every process can reach:
-//     tcp:// (the usual choice — run rlibm-store first) or dir:.
-//   - -inproc: the peers are goroutines inside this process, each with
-//     its own store connection. Handy for single-machine runs and tests.
+// The store decides what a peer is. A store every process can reach —
+// tcp:// (the usual choice: run rlibm-store first) or dir: — gets
+// subprocess peers: the driver re-executes its own binary once per peer
+// with -campaign-worker -shard k/n; workers stream progress as
+// @rlibm-campaign-unit JSON lines and finish with one @rlibm-campaign-peer
+// line. A store only this process can reach — mem:, or caching disabled —
+// gets goroutine peers sharing it. Either way campaign.Run relaunches a
+// peer that dies up to -max-restarts times.
 //
 // Typical 2-peer campaign against a shared eviction-bounded store:
 //
@@ -32,14 +30,14 @@ import (
 	"bufio"
 	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
 	"os/exec"
 	"strings"
-	"sync"
-	"time"
 
 	"repro/internal/bigmath"
 	"repro/internal/campaign"
@@ -49,8 +47,8 @@ import (
 	"repro/internal/pipeline"
 )
 
-// Stdout markers of the subprocess worker protocol. Lines the monitor
-// parses; everything else a worker prints is passed through untouched.
+// Stdout markers of the subprocess worker protocol. readPeerOutput parses
+// these lines; everything else a worker prints is passed through untouched.
 const (
 	unitMarker = "@rlibm-campaign-unit "
 	peerMarker = "@rlibm-campaign-peer "
@@ -63,7 +61,6 @@ func main() {
 		minBits     = flag.Int("min-bits", campaign.MinSweepBits, "smallest swept format width (paper: 10)")
 		levelsFlag  = flag.String("levels", "", "comma-separated widths of the generated representation ladder, e.g. 10,12 (default: the standard bfloat16/tf32/F(bits,8) triple — requires -bits > 19)")
 		peers       = flag.Int("peers", 2, "worker peer count")
-		inproc      = flag.Bool("inproc", false, "run peers as goroutines instead of subprocesses")
 		workerMode  = flag.Bool("campaign-worker", false, "internal: run as one campaign worker peer (driver use only)")
 		progRO      = flag.Bool("progressive-ro", true, "generate lower levels against round-to-odd intervals (all-modes progressive guarantee)")
 		maxRestarts = flag.Int("max-restarts", 2, "relaunch a dead peer at most this many times")
@@ -122,13 +119,33 @@ func main() {
 		return
 	}
 
-	var rep *campaign.Report
-	var err error
-	if *inproc {
-		rep, err = runInProc(ctx, common, plan, *peers, *maxRestarts)
-	} else {
-		rep, err = runSubprocesses(ctx, common, plan, *peers, *maxRestarts)
+	st, err := common.Store()
+	if err != nil {
+		log.Fatal(err)
 	}
+	// Subprocess peers when other processes can reach the store (dir:,
+	// tcp://). Otherwise goroutine peers share the one store instance
+	// there is — a fresh MemStore per peer would be N disjoint caches
+	// whose claims never meet — or none, with caching disabled.
+	runPeer := func(ctx context.Context, peer int, shard gen.Shard) (*campaign.PeerReport, error) {
+		return runOnePeerProcess(ctx, common, plan, shard, peer)
+	}
+	if st == nil || strings.HasPrefix(common.StoreURL, "mem") {
+		runPeer = func(ctx context.Context, peer int, shard gen.Shard) (*campaign.PeerReport, error) {
+			return campaign.RunWorker(ctx, campaign.WorkerConfig{
+				Plan: plan, Shard: shard, Store: st, Logf: peerLogf(campaignLogf(common), peer),
+			})
+		}
+	}
+	rep, err := campaign.Run(ctx, campaign.Config{
+		Plan:        plan,
+		Peers:       *peers,
+		Store:       st,
+		RunPeer:     runPeer,
+		MaxRestarts: *maxRestarts,
+		Logf:        campaignLogf(common),
+	})
+	common.CloseStore()
 	if rep != nil {
 		printSummary(rep)
 		if *reportPath != "" {
@@ -150,42 +167,6 @@ func main() {
 	if rep != nil && !rep.Correct() {
 		os.Exit(1)
 	}
-}
-
-// openPeerStore opens one peer's own connection to the shared store
-// selected by the common flags. Peer 0 of an in-process run may share
-// the driver's handle; every other peer needs its own so event logs and
-// transports stay isolated.
-func openPeerStore(common *cli.Common) (pipeline.Store, error) {
-	fresh := *common // fresh Common so the cached store handle is not shared
-	return fresh.Store()
-}
-
-// runInProc drives goroutine peers through campaign.Run.
-func runInProc(ctx context.Context, common *cli.Common, plan campaign.Plan, peers, maxRestarts int) (*campaign.Report, error) {
-	// One shared in-memory store must be a single instance — a fresh
-	// MemStore per peer would be N disjoint caches and the claims would
-	// never meet. Open it once and hand every peer the same handle.
-	var shared pipeline.Store
-	if strings.HasPrefix(common.StoreURL, "mem") {
-		st, err := common.Store()
-		if err != nil {
-			return nil, err
-		}
-		shared = st
-	}
-	return campaign.Run(ctx, campaign.Config{
-		Plan:        plan,
-		Peers:       peers,
-		MaxRestarts: maxRestarts,
-		Logf:        campaignLogf(common),
-		OpenStore: func(int) (pipeline.Store, error) {
-			if shared != nil {
-				return shared, nil
-			}
-			return openPeerStore(common)
-		},
-	})
 }
 
 // runWorkerMode is the subprocess peer: one RunWorker pass, streaming
@@ -214,78 +195,8 @@ func runWorkerMode(ctx context.Context, common *cli.Common, plan campaign.Plan) 
 	enc.Encode(rep)
 }
 
-// runSubprocesses re-executes this binary once per peer and monitors the
-// fleet: a peer that exits without its final report line is relaunched
-// (fresh process, same shard) up to maxRestarts times. The relaunched
-// worker resumes from the shared store — that is the whole point.
-func runSubprocesses(ctx context.Context, common *cli.Common, plan campaign.Plan, peers, maxRestarts int) (*campaign.Report, error) {
-	if common.NoCache || common.StoreURL == "mem:" || common.StoreURL == "mem" {
-		return nil, fmt.Errorf("subprocess peers need a store every process can reach: use -store tcp://host:port (rlibm-store) or -store dir:PATH, or run -inproc")
-	}
-
-	// Pin the manifest before the fan-out and learn whether this resumes.
-	st, err := common.Store()
-	if err != nil {
-		return nil, err
-	}
-	_, resumed, err := campaign.EnsureManifest(ctx, st, plan, campaignLogf(common))
-	common.CloseStore()
-	if err != nil {
-		return nil, err
-	}
-
-	start := time.Now()
-	runs := make([]campaign.PeerRun, peers)
-	reports := make([]*campaign.PeerReport, peers)
-	var wg sync.WaitGroup
-	for i := 0; i < peers; i++ {
-		i := i
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			reports[i], runs[i] = monitorPeer(ctx, common, plan, i, peers, maxRestarts)
-		}()
-	}
-	wg.Wait()
-
-	rep := campaign.Aggregate(plan, resumed, reports, runs)
-	rep.WallClockMS = time.Since(start).Milliseconds()
-	if ctx.Err() != nil {
-		return rep, ctx.Err()
-	}
-	for _, pr := range runs {
-		if pr.Err == "" {
-			return rep, nil
-		}
-	}
-	return rep, fmt.Errorf("campaign: all %d peers failed; first: %s", peers, runs[0].Err)
-}
-
-// monitorPeer launches and relaunches one worker subprocess slot.
-func monitorPeer(ctx context.Context, common *cli.Common, plan campaign.Plan, peer, peers, maxRestarts int) (*campaign.PeerReport, campaign.PeerRun) {
-	shard := gen.Shard{K: peer, N: peers}
-	pr := campaign.PeerRun{Peer: peer, Shard: shard.String()}
-	for attempt := 0; ; attempt++ {
-		rep, err := runOnePeerProcess(ctx, common, plan, shard, peer)
-		if err == nil {
-			pr.InputsChecked = rep.InputsChecked
-			pr.UnitsComputed = rep.UnitsComputed
-			pr.DurMS = rep.DurMS
-			if rep.DurMS > 0 {
-				pr.InputsPerSec = float64(rep.InputsChecked) / (float64(rep.DurMS) / 1000)
-			}
-			return rep, pr
-		}
-		if ctx.Err() != nil || attempt >= maxRestarts {
-			pr.Err = err.Error()
-			return nil, pr
-		}
-		pr.Restarts++
-		log.Printf("campaign: peer %d died (%v); restart %d/%d", peer, err, pr.Restarts, maxRestarts)
-	}
-}
-
-// runOnePeerProcess execs one worker and parses its marked stdout lines.
+// runOnePeerProcess runs one peer incarnation as a worker process — this
+// binary with -campaign-worker — and parses its marked stdout lines.
 func runOnePeerProcess(ctx context.Context, common *cli.Common, plan campaign.Plan, shard gen.Shard, peer int) (*campaign.PeerReport, error) {
 	var funcs []string
 	for _, fn := range plan.Funcs {
@@ -322,8 +233,23 @@ func runOnePeerProcess(ctx context.Context, common *cli.Common, plan campaign.Pl
 	if err := cmd.Start(); err != nil {
 		return nil, err
 	}
+	rep, perr := readPeerOutput(stdout, peer, log.Printf, os.Stdout)
+	if err := cmd.Wait(); err != nil {
+		return nil, fmt.Errorf("peer %d (shard %s): %w", peer, shard, err)
+	}
+	if perr != nil {
+		return nil, fmt.Errorf("peer %d (shard %s): %w", peer, shard, perr)
+	}
+	return rep, nil
+}
+
+// readPeerOutput scans one worker's stdout: the peer line is decoded into
+// the returned report, unit lines are logged through logf, and every other
+// line is copied to pass. Marked lines whose JSON does not decode are
+// dropped. A stream that ends without a peer line is an error.
+func readPeerOutput(r io.Reader, peer int, logf func(string, ...interface{}), pass io.Writer) (*campaign.PeerReport, error) {
 	var rep *campaign.PeerReport
-	sc := bufio.NewScanner(stdout)
+	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 1<<20), 1<<24) // peer reports grow with the unit list
 	for sc.Scan() {
 		line := sc.Text()
@@ -336,17 +262,17 @@ func runOnePeerProcess(ctx context.Context, common *cli.Common, plan campaign.Pl
 		case strings.HasPrefix(line, unitMarker):
 			var u campaign.UnitResult
 			if jerr := json.Unmarshal([]byte(strings.TrimPrefix(line, unitMarker)), &u); jerr == nil {
-				log.Printf("campaign: peer %d: %s done (checked %d, %d mismatches)", peer, unitName(u), u.Checked, u.Mismatches)
+				logf("campaign: peer %d: %s done (checked %d, %d mismatches)", peer, unitName(u), u.Checked, u.Mismatches)
 			}
 		default:
-			fmt.Println(line)
+			fmt.Fprintln(pass, line)
 		}
 	}
-	if err := cmd.Wait(); err != nil {
-		return nil, fmt.Errorf("peer %d (shard %s): %w", peer, shard, err)
+	if err := sc.Err(); err != nil {
+		return nil, err
 	}
 	if rep == nil {
-		return nil, fmt.Errorf("peer %d (shard %s): exited without a final report", peer, shard)
+		return nil, errors.New("exited without a final report")
 	}
 	return rep, nil
 }
@@ -360,6 +286,16 @@ func unitName(u campaign.UnitResult) string {
 
 func campaignLogf(common *cli.Common) pipeline.Logf {
 	return pipeline.Logf(common.Logf())
+}
+
+// peerLogf prefixes a goroutine peer's progress lines with its slot.
+func peerLogf(logf pipeline.Logf, peer int) pipeline.Logf {
+	if logf == nil {
+		return nil
+	}
+	return func(format string, args ...interface{}) {
+		logf(fmt.Sprintf("peer %d: %s", peer, format), args...)
+	}
 }
 
 func printSummary(rep *campaign.Report) {

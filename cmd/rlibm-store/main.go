@@ -29,7 +29,6 @@ import (
 	"net"
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
 	"time"
 
@@ -44,8 +43,7 @@ func main() {
 		mem      = flag.Bool("mem", false, "serve an ephemeral in-memory store instead of the disk cache")
 		maxConns = flag.Int("max-conns", 64, "maximum concurrently served connections (0 = unlimited)")
 		idle     = flag.Duration("idle-timeout", 2*time.Minute, "drop a connection idle for this long (0 = never)")
-		maxBytes = flag.Int64("max-bytes", 0, "evict least-recently-used artifacts once the store exceeds this many bytes (0 = unbounded; claims and -pin-stages are never evicted)")
-		pinSpec  = flag.String("pin-stages", "", "comma-separated extra stages protected from eviction (claims are always pinned), e.g. verify,solve")
+		maxBytes = flag.Int64("max-bytes", 0, "evict least-recently-used artifacts once the store exceeds this many bytes (0 = unbounded; claims and campaign manifests are never evicted)")
 		verbose  = flag.Bool("v", false, "log per-connection protocol errors")
 	)
 	flag.Parse()
@@ -79,13 +77,7 @@ func main() {
 	}
 	var evicting *pipeline.EvictingStore
 	if *maxBytes > 0 {
-		var pins []string
-		for _, st := range strings.Split(*pinSpec, ",") {
-			if st = strings.TrimSpace(st); st != "" {
-				pins = append(pins, st)
-			}
-		}
-		evicting = pipeline.NewEvictingStore(backing, *maxBytes, pins...)
+		evicting = pipeline.NewEvictingStore(backing, *maxBytes)
 		backing = evicting
 		where = fmt.Sprintf("%s (LRU budget %d bytes)", where, *maxBytes)
 	}

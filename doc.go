@@ -21,7 +21,7 @@
 //     Table 1 (polynomial properties and memory), Table 2 (correctly
 //     rounded results per library) and Figure 4 (speedups).
 //   - rlibm-store — serve an artifact store over TCP to cooperating
-//     processes, optionally byte-budgeted (-max-bytes, -pin-stages).
+//     processes, optionally byte-budgeted (-max-bytes).
 //   - rlibm-serve — serve the generated library itself: every function ×
 //     format × mode over HTTP/JSON and a framed bulk endpoint, with
 //     bounded admission, clean drain and verified hot reload.

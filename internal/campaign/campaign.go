@@ -188,9 +188,10 @@ func BuildManifest(p Plan) Manifest {
 	return m
 }
 
-// StageManifest and StageSweep name the campaign's artifact stages.
+// StageManifest and StageSweep name the campaign's artifact stages. The
+// manifest stage is pipeline's, because the evicting store always pins it.
 const (
-	StageManifest = "campaign-manifest"
+	StageManifest = pipeline.StageManifest
 	StageSweep    = "campaign-sweep"
 )
 

@@ -3,7 +3,9 @@ package campaign_test
 import (
 	"bytes"
 	"context"
+	"errors"
 	"net"
+	"strings"
 	"testing"
 	"time"
 
@@ -54,9 +56,36 @@ func serveStore(t *testing.T, backing pipeline.Store) string {
 	return l.Addr().String()
 }
 
-func dialPeer(t *testing.T, addr string) func(int) (pipeline.Store, error) {
-	return func(int) (pipeline.Store, error) {
-		return pipeline.DialRemote(addr, 5*time.Second)
+// dial opens one connection to the loopback store, closed with the test.
+func dial(t *testing.T, addr string) *pipeline.RemoteStore {
+	t.Helper()
+	rs, err := pipeline.DialRemote(addr, 5*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { rs.Close() })
+	return rs
+}
+
+// remotePeer is a goroutine peer whose every incarnation runs RunWorker
+// on its own connection to addr, so a dying peer cannot poison a
+// sibling's transport.
+func remotePeer(plan campaign.Plan, addr string) func(context.Context, int, gen.Shard) (*campaign.PeerReport, error) {
+	return func(ctx context.Context, _ int, shard gen.Shard) (*campaign.PeerReport, error) {
+		rs, err := pipeline.DialRemote(addr, 5*time.Second)
+		if err != nil {
+			return nil, err
+		}
+		defer rs.Close()
+		return campaign.RunWorker(ctx, campaign.WorkerConfig{Plan: plan, Shard: shard, Store: rs})
+	}
+}
+
+// sharedPeer is a goroutine peer whose every incarnation runs RunWorker
+// over the one store instance st.
+func sharedPeer(plan campaign.Plan, st pipeline.Store) func(context.Context, int, gen.Shard) (*campaign.PeerReport, error) {
+	return func(ctx context.Context, _ int, shard gen.Shard) (*campaign.PeerReport, error) {
+		return campaign.RunWorker(ctx, campaign.WorkerConfig{Plan: plan, Shard: shard, Store: st})
 	}
 }
 
@@ -119,9 +148,10 @@ func TestCampaignTwoPeersMatchesSolo(t *testing.T) {
 	backing := pipeline.NewMemStore()
 	addr := serveStore(t, backing)
 	rep, err := campaign.Run(context.Background(), campaign.Config{
-		Plan:      plan,
-		Peers:     2,
-		OpenStore: dialPeer(t, addr),
+		Plan:    plan,
+		Peers:   2,
+		Store:   dial(t, addr),
+		RunPeer: remotePeer(plan, addr),
 	})
 	if err != nil {
 		t.Fatalf("campaign: %v", err)
@@ -178,18 +208,21 @@ func TestCampaignKilledPeerRestarts(t *testing.T) {
 	backing := pipeline.NewMemStore()
 	addr := serveStore(t, backing)
 
+	run := remotePeer(plan, addr)
+	var incarnations [2]int // one counter per slot, each touched only by its own goroutine
 	rep, err := campaign.Run(context.Background(), campaign.Config{
 		Plan:        plan,
 		Peers:       2,
 		MaxRestarts: 1,
-		OpenStore:   dialPeer(t, addr),
-		PeerContext: func(ctx context.Context, peer int) context.Context {
-			if peer != 1 {
-				return ctx
+		Store:       dial(t, addr),
+		RunPeer: func(ctx context.Context, peer int, shard gen.Shard) (*campaign.PeerReport, error) {
+			incarnations[peer]++
+			if peer == 1 && incarnations[peer] == 1 {
+				dead, cancel := context.WithCancel(ctx)
+				cancel()
+				ctx = dead
 			}
-			dead, cancel := context.WithCancel(ctx)
-			cancel()
-			return dead
+			return run(ctx, peer, shard)
 		},
 	})
 	if err != nil {
@@ -219,22 +252,75 @@ func TestCampaignKilledPeerRestarts(t *testing.T) {
 	}
 }
 
+// TestCampaignPeerExhaustsRestarts: a peer that fails every incarnation
+// is relaunched MaxRestarts times and then recorded as failed, while the
+// surviving peer computes its units and the campaign still succeeds with
+// every manifest unit aggregated.
+func TestCampaignPeerExhaustsRestarts(t *testing.T) {
+	plan := testPlan(2)
+	shared := pipeline.NewMemStore()
+	run := sharedPeer(plan, shared)
+	rep, err := campaign.Run(context.Background(), campaign.Config{
+		Plan:        plan,
+		Peers:       2,
+		MaxRestarts: 1,
+		Store:       shared,
+		RunPeer: func(ctx context.Context, peer int, shard gen.Shard) (*campaign.PeerReport, error) {
+			if peer == 1 {
+				return nil, errors.New("peer 1 always dies")
+			}
+			return run(ctx, peer, shard)
+		},
+	})
+	if err != nil {
+		t.Fatalf("campaign with one dead peer: %v", err)
+	}
+	if got := rep.Peers[1].Restarts; got != 1 {
+		t.Errorf("peer 1 restarted %d times, want 1", got)
+	}
+	if rep.Peers[1].Err == "" {
+		t.Error("peer 1 exhausted its restarts but has no Err")
+	}
+	if rep.Peers[0].Err != "" {
+		t.Errorf("peer 0 failed: %s", rep.Peers[0].Err)
+	}
+	if want := len(campaign.BuildManifest(plan).Units); rep.Units != want {
+		t.Errorf("campaign aggregated %d units, want %d", rep.Units, want)
+	}
+}
+
+// TestCampaignAllPeersFail: when no peer finishes, Run reports it.
+func TestCampaignAllPeersFail(t *testing.T) {
+	plan := testPlan(1)
+	_, err := campaign.Run(context.Background(), campaign.Config{
+		Plan:  plan,
+		Peers: 2,
+		Store: pipeline.NewMemStore(),
+		RunPeer: func(context.Context, int, gen.Shard) (*campaign.PeerReport, error) {
+			return nil, errors.New("boom")
+		},
+	})
+	if err == nil || !strings.Contains(err.Error(), "all 2 peers failed") {
+		t.Fatalf("Run error = %v, want \"all 2 peers failed\"", err)
+	}
+}
+
 // TestCampaignResume: rerunning the identical plan against the same store
 // is a warm resume — the manifest reports it, every unit decodes from its
 // sealed artifact, and no unit is recomputed.
 func TestCampaignResume(t *testing.T) {
 	plan := testPlan(2)
 	shared := pipeline.NewMemStore()
-	open := func(int) (pipeline.Store, error) { return shared, nil }
+	cfg := campaign.Config{Plan: plan, Peers: 1, Store: shared, RunPeer: sharedPeer(plan, shared)}
 
-	first, err := campaign.Run(context.Background(), campaign.Config{Plan: plan, Peers: 1, OpenStore: open})
+	first, err := campaign.Run(context.Background(), cfg)
 	if err != nil {
 		t.Fatalf("first campaign: %v", err)
 	}
 	if first.Resumed {
 		t.Error("first campaign reported resumed")
 	}
-	second, err := campaign.Run(context.Background(), campaign.Config{Plan: plan, Peers: 1, OpenStore: open})
+	second, err := campaign.Run(context.Background(), cfg)
 	if err != nil {
 		t.Fatalf("second campaign: %v", err)
 	}
@@ -264,9 +350,10 @@ func TestCampaignEvictedStore(t *testing.T) {
 	evicting := pipeline.NewEvictingStore(pipeline.NewMemStore(), 2<<10)
 	addr := serveStore(t, evicting)
 	rep, err := campaign.Run(context.Background(), campaign.Config{
-		Plan:      plan,
-		Peers:     2,
-		OpenStore: dialPeer(t, addr),
+		Plan:    plan,
+		Peers:   2,
+		Store:   dial(t, addr),
+		RunPeer: remotePeer(plan, addr),
 	})
 	if err != nil {
 		t.Fatalf("campaign over evicting store: %v", err)

@@ -18,7 +18,9 @@ import (
 // expendable by design — every unit is a deterministic artifact and the
 // claim protocol reassigns stalled units — so the driver's failure model
 // is simply "rerun the dead peer's worker loop; it skips everything that
-// already sealed and computes the rest".
+// already sealed and computes the rest". What a peer is — a goroutine, a
+// subprocess — is the caller's RunPeer; the pin, fan-out, restart and
+// aggregation are the driver's alone.
 //
 // Both reports are plain JSON files, never store artifacts: they carry
 // wall-clock durations and per-peer throughput, which are volatile
@@ -28,16 +30,15 @@ import (
 type Config struct {
 	Plan  Plan
 	Peers int
-	// OpenStore opens peer i's store connection. Each peer gets its own
-	// connection (its own event log, its own socket) so a dying peer
-	// cannot poison a sibling's transport; the driver closes whatever
-	// CloseStore knows how to close.
-	OpenStore func(peer int) (pipeline.Store, error)
-	// PeerContext, when non-nil, derives peer i's context from the run
-	// context — the hook kill-a-peer tests use to cancel one peer
-	// mid-campaign. A restarted peer gets the run context directly: the
-	// kill applies to the first incarnation only.
-	PeerContext func(ctx context.Context, peer int) context.Context
+	// Store is the shared store the manifest is pinned in before the
+	// fan-out (nil: caching disabled, the manifest is built but not
+	// sealed). The driver never closes it.
+	Store pipeline.Store
+	// RunPeer runs one incarnation of peer slot peer over its shard and
+	// returns the worker's report. It must reach the same store as Store:
+	// RunWorker on a connection of its own, or a worker process pointed at
+	// the same store URL.
+	RunPeer func(ctx context.Context, peer int, shard gen.Shard) (*PeerReport, error)
 	// MaxRestarts bounds how many times each peer is relaunched after an
 	// error (0: die on first failure). Context cancellation of the whole
 	// run is never retried.
@@ -89,13 +90,12 @@ type Report struct {
 // headline claim for the swept function/format/mode cube.
 func (r *Report) Correct() bool { return r.Mismatches == 0 }
 
-// Run drives a full in-process campaign: Peers worker goroutines, each
-// with its own store connection from OpenStore, sharded k/Peers. It
-// returns the aggregated report; a peer that exhausts MaxRestarts is
-// recorded in the report (Err set) without sinking the campaign, as long
-// as at least one peer finishes — the survivors compute the dead peer's
-// units through the claim-stall reclaim path. Run fails only when every
-// peer fails or the run context is canceled.
+// Run drives a full campaign: Peers slots, each running RunPeer over
+// shard k/Peers. It returns the aggregated report; a peer that exhausts
+// MaxRestarts is recorded in the report (Err set) without sinking the
+// campaign, as long as at least one peer finishes — the survivors compute
+// the dead peer's units through the claim-stall reclaim path. Run fails
+// only when every peer fails or the run context is canceled.
 func Run(ctx context.Context, cfg Config) (*Report, error) {
 	p := cfg.Plan.normalized()
 	if err := p.Validate(); err != nil {
@@ -104,19 +104,13 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 	if cfg.Peers < 1 {
 		cfg.Peers = 1
 	}
-	if cfg.OpenStore == nil {
-		return nil, fmt.Errorf("campaign: Config.OpenStore is nil")
+	if cfg.RunPeer == nil {
+		return nil, fmt.Errorf("campaign: Config.RunPeer is nil")
 	}
 
 	// Pin the manifest once before the fan-out, and learn whether this is
-	// a resume, through a dedicated connection so a peer's event log
-	// stays purely its own.
-	st0, err := cfg.OpenStore(0)
-	if err != nil {
-		return nil, err
-	}
-	_, resumed, err := EnsureManifest(ctx, st0, p, cfg.Logf)
-	closeStore(st0)
+	// a resume.
+	_, resumed, err := EnsureManifest(ctx, cfg.Store, p, cfg.Logf)
 	if err != nil {
 		return nil, err
 	}
@@ -130,58 +124,39 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			reports[i], runs[i] = runPeer(ctx, cfg, p, i)
+			reports[i], runs[i] = runPeer(ctx, cfg, i)
 		}()
 	}
 	wg.Wait()
 
-	rep := Aggregate(p, resumed, reports, runs)
+	rep := aggregate(p, resumed, reports, runs)
 	rep.WallClockMS = time.Since(start).Milliseconds()
 	if ctx.Err() != nil {
 		return rep, ctx.Err()
 	}
-	finished := 0
 	for _, pr := range runs {
 		if pr.Err == "" {
-			finished++
+			return rep, nil
 		}
 	}
-	if finished == 0 {
-		return rep, fmt.Errorf("campaign: all %d peers failed; first: %s", cfg.Peers, runs[0].Err)
-	}
-	return rep, nil
+	return rep, fmt.Errorf("campaign: all %d peers failed; first: %s", cfg.Peers, runs[0].Err)
 }
 
-// runPeer runs one peer slot to completion, restarting up to
-// cfg.MaxRestarts times. Each incarnation gets a fresh store connection;
-// the first also passes through the PeerContext kill hook.
-func runPeer(ctx context.Context, cfg Config, p Plan, peer int) (*PeerReport, PeerRun) {
-	shard := shardOf(peer, cfg.Peers)
+// runPeer runs one peer slot to completion, restarting it up to
+// cfg.MaxRestarts times.
+func runPeer(ctx context.Context, cfg Config, peer int) (*PeerReport, PeerRun) {
+	shard := gen.Shard{K: peer, N: cfg.Peers}
 	pr := PeerRun{Peer: peer, Shard: shard.String()}
 	for attempt := 0; ; attempt++ {
-		pctx := ctx
-		if attempt == 0 && cfg.PeerContext != nil {
-			pctx = cfg.PeerContext(ctx, peer)
-		}
-		st, err := cfg.OpenStore(peer)
+		rep, err := cfg.RunPeer(ctx, peer, shard)
 		if err == nil {
-			var rep *PeerReport
-			rep, err = RunWorker(pctx, WorkerConfig{
-				Plan:  p,
-				Shard: shard,
-				Store: st,
-				Logf:  peerLogf(cfg.Logf, peer),
-			})
-			closeStore(st)
-			if err == nil {
-				pr.InputsChecked = rep.InputsChecked
-				pr.UnitsComputed = rep.UnitsComputed
-				pr.DurMS = rep.DurMS
-				if rep.DurMS > 0 {
-					pr.InputsPerSec = float64(rep.InputsChecked) / (float64(rep.DurMS) / 1000)
-				}
-				return rep, pr
+			pr.InputsChecked = rep.InputsChecked
+			pr.UnitsComputed = rep.UnitsComputed
+			pr.DurMS = rep.DurMS
+			if rep.DurMS > 0 {
+				pr.InputsPerSec = float64(rep.InputsChecked) / (float64(rep.DurMS) / 1000)
 			}
+			return rep, pr
 		}
 		if ctx.Err() != nil || attempt >= cfg.MaxRestarts {
 			pr.Err = err.Error()
@@ -194,13 +169,11 @@ func runPeer(ctx context.Context, cfg Config, p Plan, peer int) (*PeerReport, Pe
 	}
 }
 
-// Aggregate merges the surviving peer reports. Unit facts are
+// aggregate merges the surviving peer reports. Unit facts are
 // deduplicated by (func, format) — artifacts are deterministic, so the
 // first observation of each unit is as good as any — while throughput
-// stays per-peer. Exported for the subprocess monitor in
-// cmd/rlibm-campaign, which collects PeerReports over worker stdout
-// instead of function returns.
-func Aggregate(p Plan, resumed bool, reports []*PeerReport, runs []PeerRun) *Report {
+// stays per-peer.
+func aggregate(p Plan, resumed bool, reports []*PeerReport, runs []PeerRun) *Report {
 	rep := &Report{
 		Schema:        1,
 		Bits:          p.Bits,
@@ -274,24 +247,4 @@ func writeJSON(path string, v any) error {
 		return err
 	}
 	return os.WriteFile(path, append(data, '\n'), 0o644)
-}
-
-// shardOf maps a peer slot to its shard of the peer set.
-func shardOf(peer, peers int) gen.Shard { return gen.Shard{K: peer, N: peers} }
-
-// peerLogf prefixes a shared logger with the peer slot.
-func peerLogf(logf pipeline.Logf, peer int) pipeline.Logf {
-	if logf == nil {
-		return nil
-	}
-	return func(format string, args ...interface{}) {
-		logf(fmt.Sprintf("peer %d: %s", peer, format), args...)
-	}
-}
-
-// closeStore releases whatever the backend holds open.
-func closeStore(st pipeline.Store) {
-	if rs, ok := st.(*pipeline.RemoteStore); ok {
-		rs.Close()
-	}
 }

@@ -51,34 +51,18 @@ func (res *Result) ServingLevel(f fp.Format, mode fp.Mode) (int, bool) {
 // Eval evaluates the generated implementation: input x (which must be a
 // value of the level li's format), evaluated with level li's progressive
 // term counts, rounded into out under mode. This is the reference code
-// path: special-path check, special-input table, range reduction,
-// structured Horner with the level's term count, output compensation,
-// rounding. The compiled batch kernels of internal/eval are pinned
-// bit-identical to this function; a semantic change here must be matched
-// there (the exhaustive equivalence tests in internal/eval catch drift).
+// path — EvalValue, then rounding. The compiled batch kernels of
+// internal/eval are pinned bit-identical to this function; a semantic
+// change here must be matched there (the exhaustive equivalence tests in
+// internal/eval catch drift).
 func (res *Result) Eval(x float64, li int, out fp.Format, mode fp.Mode) uint64 {
-	scheme := res.Scheme()
-	ctx, regular := scheme.Reduce(x)
-	if !regular {
-		return out.FromFloat64(scheme.Special(x), mode)
-	}
-	if sp := res.Specials[li]; len(sp) > 0 {
-		i := sort.Search(len(sp), func(i int) bool { return sp[i].X >= x })
-		//lint:ignore floateq special-table keys store the exact input bits; the lookup hit test is bit-exact by construction.
-		if i < len(sp) && sp[i].X == x {
-			return out.FromFloat64(sp[i].Proxy, mode)
-		}
-	}
-	var y0, y1 float64
-	y0 = evalKernel(&res.Kernels[0], li, ctx.R)
-	if len(res.Kernels) > 1 {
-		y1 = evalKernel(&res.Kernels[1], li, ctx.R)
-	}
-	return out.FromFloat64(scheme.Compensate(ctx, y0, y1), mode)
+	return out.FromFloat64(res.EvalValue(x, li), mode)
 }
 
-// EvalValue is Eval without the final rounding; used by the benchmark
-// harness to time the computation kernel itself.
+// EvalValue is Eval without the final rounding: special-path check,
+// special-input table, range reduction, structured Horner with the level's
+// term count, output compensation. The benchmark harness also calls it to
+// time the computation kernel itself.
 func (res *Result) EvalValue(x float64, li int) float64 {
 	scheme := res.Scheme()
 	ctx, regular := scheme.Reduce(x)

@@ -16,6 +16,7 @@ import (
 	"fmt"
 
 	"repro/internal/bigmath"
+	"repro/internal/eval"
 	"repro/internal/fp"
 	"repro/internal/gen"
 )
@@ -32,7 +33,9 @@ var (
 	// registered (run cmd/rlibm-gen -baseline -emit internal/libm).
 	ErrNoBaseline = errors.New("no baseline tables")
 	// ErrTooWide reports an output format wider than the generated levels.
-	ErrTooWide = errors.New("format wider than the generated levels")
+	// It is eval.ErrTooWide itself, so one errors.Is test matches a
+	// too-wide error from either package.
+	ErrTooWide = eval.ErrTooWide
 )
 
 // Per-function wrapped sentinels, precomputed so error paths are

@@ -17,6 +17,12 @@ import (
 // each, so pinning them cannot defeat the byte budget.
 const StageClaim = "claim"
 
+// StageManifest names the stage of a distributed campaign's manifest: the
+// pinned unit list internal/campaign seals before any peer starts. The
+// evicting store pins it like a claim — a rerun that finds the manifest
+// knows it resumes, and one manifest per campaign is a few hundred bytes.
+const StageManifest = "campaign-manifest"
+
 // EvictingStore bounds a backing store with a least-recently-used byte
 // budget, so a long-lived shared cache survives a campaign without
 // unbounded growth. It tracks every artifact observed through it — put or
@@ -31,8 +37,8 @@ const StageClaim = "claim"
 // Pinning is by stage: claim artifacts (StageClaim) are never evicted —
 // they are the liveness markers of in-progress distributed units, and
 // evicting one would make a live peer's work unit look unclaimed (see
-// StageClaim). Callers may pin further stages (e.g. "verify", to keep
-// final results resident) via NewEvictingStore. The artifact that
+// StageClaim) — and neither are campaign manifests (StageManifest), so a
+// rerun of a campaign always recognizes itself as a resume. The artifact that
 // triggered an eviction pass is itself exempt from that pass, so a budget
 // smaller than one artifact degrades to "keep only the newest" instead of
 // evicting the bytes just written.
@@ -51,7 +57,6 @@ const StageClaim = "claim"
 type EvictingStore struct {
 	backing Store
 	max     int64
-	pinned  map[string]bool
 
 	mu           sync.Mutex
 	entries      map[string]*evictEntry
@@ -76,17 +81,11 @@ type evictEntry struct {
 
 // NewEvictingStore wraps backing with an LRU byte budget. maxBytes <= 0
 // disables budget-driven eviction (the wrapper still tracks sizes and
-// honors SiteStoreEvict). StageClaim is always pinned; pinStages names
-// additional stages to protect from eviction.
-func NewEvictingStore(backing Store, maxBytes int64, pinStages ...string) *EvictingStore {
-	pinned := map[string]bool{StageClaim: true}
-	for _, st := range pinStages {
-		pinned[st] = true
-	}
+// honors SiteStoreEvict). StageClaim and StageManifest are always pinned.
+func NewEvictingStore(backing Store, maxBytes int64) *EvictingStore {
 	return &EvictingStore{
 		backing: backing,
 		max:     maxBytes,
-		pinned:  pinned,
 		entries: make(map[string]*evictEntry),
 		order:   list.New(),
 	}
@@ -225,7 +224,7 @@ func (s *EvictingStore) evictOneLocked(skip string) bool {
 			continue
 		}
 		e := s.entries[addr]
-		if s.pinned[e.key.Stage] {
+		if e.key.Stage == StageClaim || e.key.Stage == StageManifest {
 			continue
 		}
 		if err := s.backing.Delete(e.key, e.codecName, e.codecVersion); err != nil {

@@ -124,20 +124,28 @@ func TestEvictingStoreNeverEvictsClaims(t *testing.T) {
 	}
 }
 
-// TestEvictingStorePinStages: extra pinned stages survive like claims.
+// TestEvictingStorePinStages: the claim and campaign-manifest stages are
+// pinned by default — both survive a 1-byte budget that evicts every
+// other stage around them.
 func TestEvictingStorePinStages(t *testing.T) {
-	es := NewEvictingStore(NewMemStore(), 1, "verify")
-	if err := es.Put(evictKey("verify", 0), "result", 2, evictArtifact(0, 256)); err != nil {
+	es := NewEvictingStore(NewMemStore(), 1)
+	if err := es.Put(evictKey(StageManifest, 0), "campaign-manifest", 1, evictArtifact(0, 256)); err != nil {
 		t.Fatal(err)
 	}
-	if err := es.Put(evictKey("solve", 0), "result", 2, evictArtifact(1, 256)); err != nil {
+	if err := es.Put(evictKey(StageClaim, 0), "store-claim", 2, evictArtifact(1, 16)); err != nil {
 		t.Fatal(err)
 	}
-	if err := es.Put(evictKey("enumerate", 0), "raw", 1, evictArtifact(2, 256)); err != nil {
+	if err := es.Put(evictKey("solve", 0), "result", 2, evictArtifact(2, 256)); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := es.Get(evictKey("verify", 0), "result", 2); !ok {
-		t.Error("pinned verify artifact evicted")
+	if err := es.Put(evictKey("verify", 0), "result", 2, evictArtifact(3, 256)); err != nil {
+		t.Fatal(err)
+	}
+	if data, ok := es.Get(evictKey(StageManifest, 0), "campaign-manifest", 1); !ok || !bytes.Equal(data, evictArtifact(0, 256)) {
+		t.Error("campaign-manifest artifact evicted or corrupt; manifests must be pinned")
+	}
+	if data, ok := es.Get(evictKey(StageClaim, 0), "store-claim", 2); !ok || !bytes.Equal(data, evictArtifact(1, 16)) {
+		t.Error("claim artifact evicted or corrupt; claims must be pinned")
 	}
 	if _, ok := es.Get(evictKey("solve", 0), "result", 2); ok {
 		t.Error("unpinned solve artifact survived a 1-byte budget")

@@ -244,13 +244,9 @@ func (ks *KernelSet) Kernel(fn bigmath.Func, out fp.Format, mode fp.Mode) (*eval
 	if v, ok := ks.kernels.Load(key); ok {
 		return v.(*eval.Kernel), nil
 	}
-	res := ks.results[fn]
-	k, err := eval.Compile(res, out, mode)
+	k, err := eval.Compile(ks.results[fn], out, mode)
 	if err != nil {
-		if _, ok := res.ServingLevel(out, mode); !ok {
-			return nil, fmt.Errorf("serve: %s: %v: %w", fn, out, eval.ErrTooWide)
-		}
-		return nil, err
+		return nil, fmt.Errorf("serve: %s: %w", fn, err)
 	}
 	k.Observe(ks.span) // before the kernel is shared via the cache
 	v, _ := ks.kernels.LoadOrStore(key, k)

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"net/http"
 	"runtime"
 	"strings"
@@ -13,6 +14,7 @@ import (
 	"time"
 
 	"repro/internal/bigmath"
+	"repro/internal/eval"
 	"repro/internal/fault"
 	"repro/internal/fp"
 	"repro/internal/libm"
@@ -424,6 +426,40 @@ func TestBulkEndToEnd(t *testing.T) {
 	}
 	if out, err := c.Eval(Request{Fn: bigmath.Log2, Out: testFormat, Inputs: inputs[:4]}); err != nil || len(out) != 4 {
 		t.Fatalf("request after typed error: %v (%d outputs)", err, len(out))
+	}
+}
+
+// TestTooWideIsNoTables: a format one bit wider than the served tables
+// fails kernel compilation with the one too-wide sentinel (libm's and
+// eval's are the same value), which both endpoints answer as no-tables.
+func TestTooWideIsNoTables(t *testing.T) {
+	largest, ok := libm.LargestFormat()
+	if !ok {
+		t.Skip("no generated tables")
+	}
+	wide := fp.MustFormat(largest.Bits()+1, largest.ExpBits())
+	s := startTestServer(t, Config{})
+	_, err := s.Evaluate(context.Background(), Request{Fn: bigmath.Exp2, Out: wide, Inputs: []uint64{1}})
+	if !errors.Is(err, libm.ErrTooWide) || !errors.Is(err, eval.ErrTooWide) {
+		t.Fatalf("Evaluate(%v) = %v, want libm.ErrTooWide and eval.ErrTooWide", wide, err)
+	}
+
+	body := fmt.Sprintf(`{"func":"exp2","format":"F%d,%d","inputs":[1]}`, wide.Bits(), wide.ExpBits())
+	resp, data := postEval(t, s.HTTPAddr().String(), body)
+	var eb errorBody
+	if jerr := json.Unmarshal(data, &eb); resp.StatusCode != http.StatusNotFound || jerr != nil || eb.Error.Code != "no-tables" {
+		t.Errorf("HTTP %v: status %d code %q (%v), want 404 no-tables", wide, resp.StatusCode, eb.Error.Code, jerr)
+	}
+
+	c, err := DialBulk(s.BulkAddr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	_, err = c.Eval(Request{Fn: bigmath.Exp2, Out: wide, Inputs: []uint64{1}})
+	var be *BulkError
+	if !errors.As(err, &be) || be.Code != "no-tables" {
+		t.Errorf("bulk %v: got %v, want BulkError[no-tables]", wide, err)
 	}
 }
 
