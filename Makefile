@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: check check-fault check-store check-serve check-campaign check-bench test race bench bench-parallel bench-pipeline bench-obs bench-eval bench-serve vet build lint lint-json report loc
+.PHONY: check check-fault check-store check-serve check-campaign check-bench test race bench vet build lint lint-json report loc
 
 check:
 	@echo '== vet =='
@@ -66,14 +66,35 @@ STORE_RUN_on  = TestBackend|TestTwoProcessShardClaim|TestShard|TestSolveShard|Te
 STORE_RUN_off = TestBackendBitIdentity|TestBackendMatrixColdWarm|TestTwoProcessShardClaim|TestShardHeartbeat|TestShardDeadPeer|TestShardLivePeer|TestSolveShardDeterminism|TestSolveShardDeadPeer|TestEvictingStoreBudgetAndLRUOrder|TestEvictingStoreNeverEvictsClaims|TestEventLogConcurrency|TestWireRoundTrip|TestRunThroughRemoteMatchesDisk
 check-store:
 	RLIBM_STORE_WORKERS=$(STORE_WORKERS) $(GO) test -race -timeout 15m \
-		-run '$(STORE_RUN_$(STORE_FAULTS))' ./internal/pipeline/ ./internal/cli/
+		-run '$(STORE_RUN_$(STORE_FAULTS))' ./internal/pipeline/ ./internal/cli/ ./internal/gen/
 
-# The serving gate: drain completes admitted requests bit-identically,
-# overload sheds typed 429s with no goroutine leaks, hot reload never
-# serves a mixed generation, and both endpoints answer libm's exact bits
-# (DESIGN.md §13). Loopback only; -race is part of the contract.
+# The serving gate, in two layers. First the in-process suite: drain
+# completes admitted requests bit-identically, overload sheds typed 429s
+# with no goroutine leaks, hot reload never serves a mixed generation, and
+# both endpoints answer libm's exact bits (DESIGN.md §13). Then the real
+# binary, race-instrumented: one /eval request must return the builtin
+# tables' bits (log2 of 4 and 4.25 in F16,8 under rn), and SIGTERM must
+# drain it to exit 0 with a "drained" line and a report.json that counts
+# the request. Loopback only.
 check-serve:
 	$(GO) test -race -timeout 10m ./internal/serve/
+	$(eval SERVE_DIR := $(shell mktemp -d))
+	$(GO) build -race -o $(SERVE_DIR)/rlibm-serve ./cmd/rlibm-serve
+	$(SERVE_DIR)/rlibm-serve -listen 127.0.0.1:8093 -cache-dir $(SERVE_DIR) -report \
+	    > $(SERVE_DIR)/serve.log 2>&1 & \
+	  srv=$$!; \
+	  curl -sf --retry 20 --retry-connrefused --retry-delay 1 127.0.0.1:8093/readyz > /dev/null; \
+	  curl -sf -X POST 127.0.0.1:8093/eval \
+	    -d '{"func":"log2","format":"F16,8","mode":"rn","inputs":[16512,16520]}' \
+	    > $(SERVE_DIR)/eval.out; \
+	  cat $(SERVE_DIR)/eval.out; \
+	  grep -qF '{"outputs":[16384,16390]}' $(SERVE_DIR)/eval.out; evaled=$$?; \
+	  kill -TERM $$srv; wait $$srv; exited=$$?; \
+	  cat $(SERVE_DIR)/serve.log; \
+	  grep -q 'drained' $(SERVE_DIR)/serve.log; drained=$$?; \
+	  grep -q '"serve.requests"' $(SERVE_DIR)/report.json; reported=$$?; \
+	  rm -rf $(SERVE_DIR); \
+	  test $$evaled -eq 0 && test $$exited -eq 0 && test $$drained -eq 0 && test $$reported -eq 0
 
 # The campaign gate, in two layers. First the in-process acceptance tests
 # (peer-split byte-identity, killed-peer restart, warm resume, eviction
@@ -127,48 +148,13 @@ loc:
 race:
 	$(GO) test -race -timeout 30m ./...
 
+# The repository benchmark (bench/README.md): every workload, three
+# untraced runs (seeds 1..3) and one traced run each, about 8 minutes. The
+# result, BENCH_all.json, is the checked-in baseline later changes compare
+# against. The paper-claim harnesses of bench_test.go run separately:
+# go test -bench 'Table1Memory|Clarkson|MinimaxDegree' -run '^$' .
 bench:
-	$(GO) test -bench . -benchtime 1x -run '^$$' .
-
-# Serial-vs-parallel scaling of the enumeration and verification pipelines.
-bench-parallel:
-	$(GO) test -bench 'Enumerate|VerifyExhaustive' -run '^$$' .
-
-# Cold vs warm artifact-cache cost of the staged pipeline (the numbers
-# behind BENCH_pipeline.json).
-bench-pipeline:
-	$(GO) test -bench 'Pipeline' -run '^$$' -benchtime 50x -count 3 .
-
-# Observability overhead: the same pipeline with the obs layer disabled vs
-# a live recorder (the numbers behind BENCH_obs.json).
-bench-obs:
-	$(GO) test -bench 'Pipeline' -run '^$$' -benchtime 50x -count 3 .
-	$(GO) test -bench 'PipelineWarm' -run '^$$' -benchtime 500x -count 5 .
-
-# Serving-layer cost: per-call Result.Eval vs the compiled batch kernel of
-# internal/eval, truncated vs full evaluation (the numbers behind
-# BENCH_eval.json).
-bench-eval:
-	$(GO) test -bench '^BenchmarkEval$$' -run '^$$' -benchtime 3000x -count 3 .
-
-# Serving-service latency: start rlibm-serve on loopback, drive it with the
-# closed-loop generator over the binary bulk endpoint, write p50/p90/p99
-# into BENCH_serve.json, then SIGTERM the server and require a clean drain
-# (the numbers behind BENCH_serve.json).
-bench-serve:
-	$(eval SERVE_DIR := $(shell mktemp -d))
-	$(GO) build -o $(SERVE_DIR)/rlibm-serve ./cmd/rlibm-serve
-	$(GO) build -o $(SERVE_DIR)/rlibm-bench-serve ./cmd/rlibm-bench-serve
-	$(SERVE_DIR)/rlibm-serve -listen 127.0.0.1:8093 -bulk-listen 127.0.0.1:8094 & \
-	  srv=$$!; \
-	  sleep 1; \
-	  $(SERVE_DIR)/rlibm-bench-serve -addr 127.0.0.1:8094 -bulk \
-	    -func exp2 -format F16,8 -batch 256 -concurrency 4 -duration 5s \
-	    -out BENCH_serve.json; \
-	  bench=$$?; \
-	  kill -TERM $$srv; wait $$srv; drained=$$?; \
-	  rm -rf $(SERVE_DIR); \
-	  test $$bench -eq 0 && test $$drained -eq 0
+	bash bench/run.sh -repeat 3 -out BENCH_all.json
 
 # Generate a small function with observability on and show the run report:
 # the span tree renders to stderr (-v) and report.json lands next to the

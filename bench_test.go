@@ -1,138 +1,32 @@
 package repro_test
 
 import (
-	"context"
 	"math"
 	"math/rand"
 	"testing"
 
-	"repro/internal/baseline"
 	"repro/internal/bigmath"
 	"repro/internal/clarkson"
-	"repro/internal/cli"
-	"repro/internal/fp"
-	"repro/internal/gen"
 	"repro/internal/libm"
-	"repro/internal/obs"
-	"repro/internal/oracle"
-	"repro/internal/pipeline"
 	"repro/internal/poly"
 	"repro/internal/remez"
-	"repro/internal/verify"
 )
 
-// This file holds the testing.B harnesses behind the paper's evaluation:
+// This file holds the testing.B harnesses that reproduce paper claims no
+// workload of the bench/ module measures:
 //
-//   - BenchmarkFig4 — one sub-benchmark per (function, format, library),
-//     the series behind Figure 4(a)–(d): compare rlibm-prog against the
-//     four comparators per cluster. Requires the generated tables
-//     (cmd/rlibm-gen -emit internal/libm, plus -baseline for RLibm-All);
-//     sub-benchmarks are skipped when tables are missing.
 //   - BenchmarkTable1Memory — reports the coefficient-storage metrics of
 //     Table 1 via b.ReportMetric.
-//   - BenchmarkClarksonIterations — the §3.4 iteration-bound measurement
-//     (6k·log n expectation) on constraint systems shaped like the real
+//   - BenchmarkClarksonIterations and BenchmarkClarksonSampleAblation — the
+//     §3.4 iteration-bound measurement (6k·log n expectation) and the §3.3
+//     sample-size ablation, on constraint systems shaped like the real
 //     workload.
+//   - BenchmarkMinimaxDegree — the §2.3 minimax-degree motivation.
 //
-// cmd/rlibm-table1, cmd/rlibm-table2 and cmd/rlibm-fig4 print the
-// tables/figures directly.
-
-func benchCorpus(fn bigmath.Func, f fp.Format, seed int64) []float64 {
-	rng := rand.New(rand.NewSource(seed))
-	out := make([]float64, 0, 1024)
-	for len(out) < 1024 {
-		var x float64
-		switch fn {
-		case bigmath.Ln, bigmath.Log2, bigmath.Log10:
-			x = math.Ldexp(rng.Float64()+0.5, rng.Intn(200)-100)
-		case bigmath.Exp, bigmath.Exp2, bigmath.Exp10:
-			x = (rng.Float64()*2 - 1) * 70
-		case bigmath.Sinh, bigmath.Cosh:
-			x = (rng.Float64()*2 - 1) * 80
-		default:
-			x = (rng.Float64()*2 - 1) * 16
-		}
-		x = f.Decode(f.FromFloat64(x, fp.RoundNearestEven))
-		if math.IsNaN(x) || math.IsInf(x, 0) || x == 0 {
-			continue
-		}
-		out = append(out, x)
-	}
-	return out
-}
-
-func BenchmarkFig4(b *testing.B) {
-	largest, ok := libm.LargestFormat()
-	if !ok {
-		b.Skip("generated tables missing; run cmd/rlibm-gen -emit internal/libm")
-	}
-	formats := []struct {
-		name string
-		f    fp.Format
-	}{
-		{"bfloat16", fp.Bfloat16},
-		{"tensorfloat32", fp.TensorFloat32},
-		{"float", largest},
-	}
-	for _, fn := range bigmath.AllFuncs {
-		fn := fn
-		b.Run(fn.String(), func(b *testing.B) {
-			for _, fc := range formats {
-				fc := fc
-				b.Run(fc.name, func(b *testing.B) {
-					xs := benchCorpus(fn, fc.f, 1)
-					b.Run("rlibm-prog", func(b *testing.B) {
-						res, err := libm.Progressive(fn)
-						if err != nil {
-							b.Skip(err)
-						}
-						li, _ := res.LevelFor(fc.f)
-						var sink uint64
-						for i := 0; i < b.N; i++ {
-							sink += res.Eval(xs[i&1023], li, fc.f, fp.RoundNearestEven)
-						}
-						_ = sink
-					})
-					b.Run("glibc-sub", func(b *testing.B) {
-						lib := baseline.MathLibm{Fn: fn}
-						var sink uint64
-						for i := 0; i < b.N; i++ {
-							sink += fc.f.FromFloat64(lib.Value(xs[i&1023]), fp.RoundNearestEven)
-						}
-						_ = sink
-					})
-					b.Run("intel-sub", func(b *testing.B) {
-						lib := baseline.DDLibm{Fn: fn}
-						var sink uint64
-						for i := 0; i < b.N; i++ {
-							sink += fc.f.FromFloat64(lib.Value(xs[i&1023]), fp.RoundNearestEven)
-						}
-						_ = sink
-					})
-					b.Run("crlibm-sub", func(b *testing.B) {
-						lib := baseline.CRLibm{Fn: fn}
-						var sink uint64
-						for i := 0; i < b.N; i++ {
-							sink += fc.f.FromFloat64(lib.Value(xs[i&1023], fp.RoundNearestEven), fp.RoundNearestEven)
-						}
-						_ = sink
-					})
-					b.Run("rlibm-all", func(b *testing.B) {
-						res, err := libm.RLibmAll(fn)
-						if err != nil {
-							b.Skip(err)
-						}
-						var sink uint64
-						for i := 0; i < b.N; i++ {
-							sink += res.Eval(xs[i&1023], 0, fc.f, fp.RoundNearestEven)
-						}
-						_ = sink
-					})
-				})
-			}
-		})
-	}
-}
+// Run them with go test -bench 'Table1Memory|Clarkson|MinimaxDegree' -run '^$' .
+// Timings of the library itself come from bench/ (make bench), and
+// cmd/rlibm-table1, cmd/rlibm-table2 and cmd/rlibm-fig4 print the paper's
+// tables and figures directly.
 
 func BenchmarkTable1Memory(b *testing.B) {
 	totalProg, totalBase := 0, 0
@@ -230,152 +124,6 @@ func BenchmarkClarksonSampleAblation(b *testing.B) {
 
 func fmtSampleName(factor int) string {
 	return map[int]string{1: "1k2", 3: "3k2", 6: "6k2"}[factor]
-}
-
-// BenchmarkEnumerate times the constraint-enumeration hot path — decode,
-// oracle, rounding interval, inverse compensation, sort and merge — serial
-// versus the sharded worker pool. Each iteration uses a fresh oracle so the
-// parallel runs pay the same cache-miss profile as the serial ones; the
-// enumerated system is bit-identical across sub-benchmarks by construction
-// (see internal/parallel).
-func BenchmarkEnumerate(b *testing.B) {
-	levels := []fp.Format{fp.MustFormat(12, 8), fp.MustFormat(16, 8)}
-	for _, bc := range []struct {
-		name    string
-		workers int
-	}{{"serial", 1}, {"parallel8", 8}} {
-		bc := bc
-		b.Run(bc.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				raw, rows, err := gen.Enumerate(bigmath.Exp2, gen.Options{
-					Levels:  levels,
-					Workers: bc.workers,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				if raw == 0 || rows == 0 {
-					b.Fatal("empty constraint system")
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkVerifyExhaustive times the exhaustive verification sweep of a
-// generated implementation over tensorfloat32 under round-to-nearest,
-// serial versus the sharded worker pool, with a fresh oracle per iteration
-// (verification cost is dominated by oracle evaluations on first touch).
-func BenchmarkVerifyExhaustive(b *testing.B) {
-	res, err := libm.Progressive(bigmath.Exp2)
-	if err != nil {
-		b.Skip("generated tables missing; run cmd/rlibm-gen -emit internal/libm")
-	}
-	impl := verify.NewGenImpl(res)
-	modes := []fp.Mode{fp.RoundNearestEven}
-	for _, bc := range []struct {
-		name    string
-		workers int
-	}{{"serial", 1}, {"parallel8", 8}} {
-		bc := bc
-		b.Run(bc.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				orc := oracle.New(bigmath.Exp2)
-				for _, rep := range verify.Exhaustive(impl, orc, fp.TensorFloat32, modes, bc.workers) {
-					if rep.Checked != fp.TensorFloat32.NumValues() {
-						b.Fatalf("checked %d of %d", rep.Checked, fp.TensorFloat32.NumValues())
-					}
-				}
-			}
-		})
-	}
-}
-
-// pipelineBenchOpts is the small-format configuration of the pipeline
-// benchmarks: two progressive levels of cospi, small enough that the full
-// enumerate→reduce→solve→verify chain runs in tens of milliseconds, large
-// enough that every stage does real work.
-func pipelineBenchOpts() gen.Options {
-	return gen.Options{
-		Levels:  []fp.Format{fp.MustFormat(10, 8), fp.MustFormat(12, 8)},
-		Seed:    1,
-		Workers: 4,
-	}
-}
-
-// benchObsCtx returns the run context of one pipeline benchmark iteration:
-// plain background with the observability layer disabled (nil span — every
-// obs write is a nil check), or a context carrying a live recorder's root
-// span, the exact wiring the commands use under -report/-v. The recorder is
-// discarded without emitting, so the measured delta is pure recording cost.
-func benchObsCtx(obsOn bool) context.Context {
-	if !obsOn {
-		return context.Background()
-	}
-	return obs.WithSpan(context.Background(), obs.New("run").Root())
-}
-
-// BenchmarkPipelineCold times the full staged pipeline — Enumerate, Reduce,
-// Solve, Verify — into a fresh artifact store each iteration: the price of
-// a run that computes and checkpoints everything. The obs=off/obs=on
-// sub-benchmarks bound the observability overhead (target: < 2%, recorded
-// in BENCH_obs.json).
-func BenchmarkPipelineCold(b *testing.B) {
-	for _, obsOn := range []bool{false, true} {
-		name := "obs=off"
-		if obsOn {
-			name = "obs=on"
-		}
-		b.Run(name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				st, err := pipeline.Open(b.TempDir())
-				if err != nil {
-					b.Fatal(err)
-				}
-				ctx := benchObsCtx(obsOn)
-				b.StartTimer()
-				if _, _, err := cli.GenerateVerified(ctx, bigmath.CosPi, pipelineBenchOpts(), st); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkPipelineWarm times the same request against a pre-warmed store:
-// the verify artifact answers immediately, so this measures the cache probe
-// plus one sealed decode — the cost a sibling command (rlibm-table2 after
-// rlibm-table1) pays per function. Sub-benchmarks as in PipelineCold.
-func BenchmarkPipelineWarm(b *testing.B) {
-	for _, obsOn := range []bool{false, true} {
-		name := "obs=off"
-		if obsOn {
-			name = "obs=on"
-		}
-		b.Run(name, func(b *testing.B) {
-			dir := b.TempDir()
-			st, err := pipeline.Open(dir)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if _, _, err := cli.GenerateVerified(context.Background(), bigmath.CosPi, pipelineBenchOpts(), st); err != nil {
-				b.Fatal(err)
-			}
-			st.ResetEvents()
-			ctx := benchObsCtx(obsOn)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, _, err := cli.GenerateVerified(ctx, bigmath.CosPi, pipelineBenchOpts(), st); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.StopTimer()
-			if n := st.CountEvents(gen.StageEnumerate, false); n != 0 {
-				b.Fatalf("warm benchmark re-ran Enumerate %d times", n)
-			}
-		})
-	}
 }
 
 // BenchmarkMinimaxDegree quantifies the paper's §2.3 motivation with two

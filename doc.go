@@ -25,8 +25,6 @@
 //   - rlibm-serve — serve the generated library itself: every function ×
 //     format × mode over HTTP/JSON and a framed bulk endpoint, with
 //     bounded admission, clean drain and verified hot reload.
-//   - rlibm-bench-serve — closed-loop load generator for rlibm-serve
-//     (the numbers behind BENCH_serve.json).
 //   - rlibm-campaign — the paper-scale distributed sweep: plans every
 //     (function, format, mode) cell as a resumable manifest, fans out
 //     shard workers against a shared store, survives peer death, and

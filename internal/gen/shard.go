@@ -134,18 +134,18 @@ var ClaimCodec = pipeline.Codec[ClaimInfo]{
 	},
 }
 
-// Claim publishes shard's claim on unit, unless a peer already holds one:
+// claim publishes shard's claim on unit, unless a peer already holds one:
 // it returns true when this shard holds the claim afterwards (and should
 // compute the unit), false when a peer's claim stands. Claims are
 // last-writer-wins artifacts — a racing pair of processes may both see
 // true — which is safe because the unit artifacts they then publish are
 // byte-identical. Injection: SiteClaimStale makes an existing peer claim
 // read back stale, so the caller reclaims and computes the unit itself.
-func Claim(st pipeline.Store, unit pipeline.Key, shard Shard, faults *fault.Plan) bool {
+func claim(st pipeline.Store, unit pipeline.Key, shard Shard, faults *fault.Plan) bool {
 	if st == nil || shard.Solo() {
 		return true
 	}
-	if c, ok := ClaimedBy(st, unit, faults); ok && c.Owner != shard.Owner() {
+	if c, ok := claimedBy(st, unit, faults); ok && c.Owner != shard.Owner() {
 		return false
 	}
 	ck := claimKey(unit)
@@ -153,7 +153,7 @@ func Claim(st pipeline.Store, unit pipeline.Key, shard Shard, faults *fault.Plan
 		// A claim that cannot be written is only lost dedup: compute.
 		return true
 	}
-	c, ok := ClaimedBy(st, unit, faults)
+	c, ok := claimedBy(st, unit, faults)
 	return !ok || c.Owner == shard.Owner()
 }
 
@@ -170,10 +170,10 @@ func RefreshClaim(st pipeline.Store, unit pipeline.Key, shard Shard, stamp uint6
 	_ = st.Put(ck, ClaimCodec.Name, ClaimCodec.Version, sealClaim(ClaimInfo{Owner: shard.Owner(), Stamp: stamp}))
 }
 
-// ClaimedBy returns the claim on unit, if a readable, well-formed claim
+// claimedBy returns the claim on unit, if a readable, well-formed claim
 // exists. Injection: SiteClaimStale reports any existing claim as
 // unreadable, which callers treat as "no live peer".
-func ClaimedBy(st pipeline.Store, unit pipeline.Key, faults *fault.Plan) (ClaimInfo, bool) {
+func claimedBy(st pipeline.Store, unit pipeline.Key, faults *fault.Plan) (ClaimInfo, bool) {
 	if st == nil {
 		return ClaimInfo{}, false
 	}

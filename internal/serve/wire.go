@@ -232,9 +232,10 @@ func (s *Server) closeBulkConns() {
 	}
 }
 
-// A BulkClient speaks the framed protocol; used by rlibm-bench-serve and
-// the serve tests. Not safe for concurrent use — open one client per
-// goroutine, mirroring one connection per in-flight request stream.
+// A BulkClient speaks the framed protocol; used by the serve-mixed
+// workload of the bench/ module and the serve tests. Not safe for
+// concurrent use — open one client per goroutine, mirroring one
+// connection per in-flight request stream.
 type BulkClient struct {
 	conn   net.Conn
 	nextID uint64
