@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: check check-fault check-store check-serve check-campaign check-bench test race bench vet build lint lint-json report loc
+.PHONY: check check-fault check-store check-serve check-campaign check-bench test race bench vet build lint lint-json report loc fuzz
 
 check:
 	@echo '== vet =='
@@ -136,6 +136,18 @@ check-bench:
 
 test:
 	$(GO) test ./...
+
+# Every native fuzz target (the decoders of outside bytes and the kernel ≡
+# reference contract) for 10 s each. go test -fuzz takes one target per
+# run, so the targets are found in the test files and run one by one; the
+# checked-in seeds under each package's testdata/fuzz run first.
+fuzz:
+	@set -e; for f in $$(grep -rl --include='*_test.go' '^func Fuzz' internal); do \
+	  for t in $$(sed -n 's/^func \(Fuzz[A-Za-z0-9_]*\)(.*/\1/p' $$f); do \
+	    echo "== $$t ($$(dirname $$f)) =="; \
+	    $(GO) test -run '^$$' -fuzz "^$$t$$" -fuzztime 10s ./$$(dirname $$f); \
+	  done; \
+	done
 
 # Hand-written non-test Go lines: tracked .go files minus tests, the
 # generated zz_* tables and the separate bench/ module.

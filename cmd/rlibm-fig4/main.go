@@ -6,7 +6,9 @@
 // Timing follows the paper's methodology in spirit: for every function and
 // format, the total time to compute the function over a fixed corpus of
 // valid inputs, here measured with monotonic-clock batches instead of
-// rdtscp cycles.
+// rdtscp cycles. Both generated libraries — RLIBM-Prog ("ours") and the
+// RLibm-All baseline (d) — are timed on the path users run: an
+// eval.Compile kernel's EvalBatch over the corpus.
 //
 // By default the timed libraries come from the emitted internal/libm
 // tables; with -generate they are generated through the staged pipeline,
@@ -28,6 +30,7 @@ import (
 	"repro/internal/baseline"
 	"repro/internal/bigmath"
 	"repro/internal/cli"
+	"repro/internal/eval"
 	"repro/internal/fp"
 	"repro/internal/gen"
 	"repro/internal/libm"
@@ -165,13 +168,18 @@ func main() {
 		for _, fc := range formats {
 			xs := corpus(fn, fc.f, rng)
 			li, _ := prog.LevelFor(fc.f)
+			kProg, err := eval.Compile(prog, fc.f, fp.RoundNearestEven)
+			if err != nil {
+				log.Fatal(err)
+			}
+			kBase, err := eval.Compile(base, fc.f, fp.RoundNearestEven)
+			if err != nil {
+				log.Fatal(err)
+			}
+			dst := make([]uint64, len(xs))
 			var sink uint64
 			var fsink float64
-			ours := timeIt(func() {
-				for _, x := range xs {
-					sink += evalBits(prog, x, li, fc.f)
-				}
-			})
+			ours := timeIt(func() { kProg.EvalBatch(dst, xs) })
 			// Kernel-only timing (no final rounding): isolates the
 			// progressive prefix-evaluation effect, which the shared
 			// software rounding step otherwise dilutes. The paper's
@@ -198,11 +206,7 @@ func main() {
 					sink += fc.f.FromFloat64(crl.Value(x, fp.RoundNearestEven), fp.RoundNearestEven)
 				}
 			})
-			tAll := timeIt(func() {
-				for _, x := range xs {
-					sink += evalBits(base, x, 0, fc.f)
-				}
-			})
+			tAll := timeIt(func() { kBase.EvalBatch(dst, xs) })
 			_ = sink
 			sp := func(t float64) float64 { return (t - ours) / ours * 100 }
 			fmt.Printf("%-7s %-14s %10.1f %10.1f | %9.0f%% %9.0f%% %9.0f%% %9.0f%%\n",
@@ -231,10 +235,6 @@ func main() {
 	if err := common.FinishRun(rec, "rlibm-fig4"); err != nil {
 		log.Fatal(err)
 	}
-}
-
-func evalBits(res *gen.Result, x float64, li int, out fp.Format) uint64 {
-	return res.Eval(x, li, out, fp.RoundNearestEven)
 }
 
 func mean(v []float64) float64 {

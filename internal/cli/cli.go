@@ -220,8 +220,8 @@ func (c *Common) FinishRun(rec *obs.Recorder, command string) error {
 	if es, ok := c.store.(*pipeline.EvictingStore); ok {
 		st := es.Stats()
 		root := rec.Root()
-		root.Add(obs.CtrStoreEvictions, st.Evictions)
-		root.Add(obs.CtrStoreBytesLive, st.BytesLive)
+		root.Gauge(obs.GaugeStoreEvictions, st.Evictions)
+		root.Gauge(obs.GaugeStoreBytesLive, st.BytesLive)
 	}
 	rec.Root().End()
 	rep := rec.Report()

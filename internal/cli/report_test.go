@@ -212,3 +212,61 @@ func TestFinishRunWritesReport(t *testing.T) {
 		t.Errorf("FinishRun(nil) wrote a report (stat err=%v)", err)
 	}
 }
+
+// evictingRun drives the -report wiring of a command whose local store has
+// an eviction budget: a cold generation, then a warm one against the same
+// store, recorded on one recorder and emitted by FinishRun.
+func evictingRun(t *testing.T, workers int) *obs.Report {
+	t.Helper()
+	dir := t.TempDir()
+	c := &cli.Common{StoreURL: "dir:" + dir, CacheDir: dir, StoreMaxBytes: 2 << 10,
+		Report: true, Workers: workers}
+	st, err := c.Store()
+	if err != nil {
+		t.Fatalf("Store: %v", err)
+	}
+	rec := c.NewRecorder()
+	ctx := obs.WithSpan(context.Background(), rec.Root())
+	for pass := 0; pass < 2; pass++ {
+		if _, _, err := cli.GenerateVerified(ctx, testFn, progOpts(workers), st); err != nil {
+			t.Fatalf("GenerateVerified(workers=%d, pass %d): %v", workers, pass, err)
+		}
+	}
+	if err := c.FinishRun(rec, "rlibm-test"); err != nil {
+		t.Fatalf("FinishRun: %v", err)
+	}
+	data, err := os.ReadFile(c.ReportPath())
+	if err != nil {
+		t.Fatalf("read report: %v", err)
+	}
+	var rep obs.Report
+	if err := json.Unmarshal(data, &rep); err != nil {
+		t.Fatalf("report.json is not valid JSON: %v", err)
+	}
+	return &rep
+}
+
+// TestReportCountersDeterministicEvicting extends the determinism contract
+// to an evicting store: every taxonomy counter is identical at -workers 1
+// and -workers 4 while the LRU budget deletes artifacts, and the
+// order-dependent eviction figures appear only as volatile gauges.
+func TestReportCountersDeterministicEvicting(t *testing.T) {
+	rep1, rep4 := evictingRun(t, 1), evictingRun(t, 4)
+	c1, c4 := counterJSON(t, rep1), counterJSON(t, rep4)
+	if !bytes.Equal(c1, c4) {
+		t.Errorf("counters differ between workers=1 and workers=4 under eviction:\n--- workers=1 ---\n%s--- workers=4 ---\n%s", c1, c4)
+	}
+	for _, rep := range []*obs.Report{rep1, rep4} {
+		if rep.Volatile[obs.GaugeStoreEvictions] == 0 {
+			t.Errorf("no evictions recorded under a 2 KiB budget: volatile = %v", rep.Volatile)
+		}
+		if _, ok := rep.Volatile[obs.GaugeStoreBytesLive]; !ok {
+			t.Errorf("volatile section lacks %s: %v", obs.GaugeStoreBytesLive, rep.Volatile)
+		}
+		for _, g := range []string{obs.GaugeStoreEvictions, obs.GaugeStoreBytesLive} {
+			if _, ok := rep.Counters[g]; ok {
+				t.Errorf("gauge %s listed among the deterministic counters", g)
+			}
+		}
+	}
+}

@@ -36,10 +36,8 @@ var ErrTooWide = errors.New("output format wider than the generated levels")
 
 // flatPoly is one kernel polynomial flattened for the hot loop: the
 // truncated coefficient prefixes of every piece concatenated into one
-// contiguous array, piece upper bounds in a parallel slice (pieces are
-// consecutive, so a short forward scan replaces gen's binary search — the
-// generator caps pieces at 4), and the monomial structure lowered to two
-// booleans.
+// contiguous array, piece upper bounds in a parallel slice, and the
+// monomial structure lowered to two booleans.
 type flatPoly struct {
 	bounds []float64 // pieces[i] owns r < bounds[i]; the last piece owns the rest
 	coeffs []float64 // concatenated truncated coefficient prefixes
@@ -50,13 +48,20 @@ type flatPoly struct {
 
 // eval evaluates the flattened polynomial at the reduced input r, exactly
 // as poly.Structure.Eval evaluates the truncated prefix: same piece
-// selection rule, same Horner order, term for term.
+// selection rule (gen's binary search over the piece bounds, so the
+// 256-piece RLibm-All baselines stay logarithmic), same Horner order, term
+// for term.
 //
 //evalhot:loop
 func (f *flatPoly) eval(r float64) float64 {
-	i := 0
-	for i < len(f.bounds)-1 && r >= f.bounds[i] {
-		i++
+	i, hi := 0, len(f.bounds)-1
+	for i < hi {
+		mid := int(uint(i+hi) >> 1)
+		if r < f.bounds[mid] {
+			hi = mid
+		} else {
+			i = mid + 1
+		}
 	}
 	c := f.coeffs[f.off[i]:f.off[i+1]]
 	u := r

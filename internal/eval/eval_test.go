@@ -102,6 +102,48 @@ func TestEvalBatchMatchesReferenceRandomized(t *testing.T) {
 	}
 }
 
+// TestEvalBatchBaselineMatchesReference covers the many-piece kernels: the
+// RLibm-All baseline tables (up to 256 pieces per kernel, which Figure 4
+// times through eval.Compile) evaluate through the batch kernel exactly as
+// through gen.Result.Eval, over every bfloat16 pattern plus random
+// patterns of the baseline's format, under all five standard modes.
+func TestEvalBatchBaselineMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	for _, fn := range bigmath.AllFuncs {
+		res, err := libm.RLibmAll(fn)
+		if err != nil {
+			t.Skip(err)
+		}
+		wide := res.Levels[len(res.Levels)-1]
+		for _, out := range []fp.Format{fp.Bfloat16, wide} {
+			var src []float64
+			if out == fp.Bfloat16 {
+				for b := uint64(0); b < out.NumValues(); b++ {
+					src = append(src, out.Decode(b))
+				}
+			} else {
+				for i := 0; i < 20000; i++ {
+					src = append(src, out.Decode(rng.Uint64()%out.NumValues()))
+				}
+			}
+			dst := make([]uint64, len(src))
+			for _, mode := range fp.StandardModes {
+				k, err := eval.Compile(res, out, mode)
+				if err != nil {
+					t.Fatalf("Compile(%v baseline, %v, %v): %v", fn, out, mode, err)
+				}
+				k.EvalBatch(dst, src)
+				for i, x := range src {
+					if want := res.Eval(x, k.Level(), out, mode); dst[i] != want {
+						t.Fatalf("%v baseline/%v/%v: input %x: batch %#x, reference %#x",
+							fn, out, mode, x, dst[i], want)
+					}
+				}
+			}
+		}
+	}
+}
+
 // TestEvalBatchSpecialTable pins the hash classifier against the reference
 // sort.Search: every special-table input of every level must take the
 // special path in the batch kernel and answer with the same bits.

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/big"
+	"math/bits"
 )
 
 // Mode is a rounding direction. The five IEEE-754 modes are supported plus
@@ -135,10 +136,10 @@ func (f Format) overflowBits(m Mode, negative bool) uint64 {
 }
 
 // assembleBits builds the final bit pattern from a rounded magnitude
-// expressed as n units of 2^qe, where qe is the exponent of one unit and
-// subnormal reports whether qe is the subnormal quantum (EMin - MantBits).
-// Carries from the mantissa into the exponent field fall out of the integer
-// arithmetic, including the subnormal→normal transition.
+// expressed as n units of 2^qe, where qe is the exponent of one unit, at
+// least the subnormal quantum EMin - MantBits. Carries from the mantissa
+// into the exponent field fall out of the integer arithmetic, including the
+// subnormal→normal transition.
 func (f Format) assembleBits(m Mode, n uint64, qe int, negative bool) uint64 {
 	p := uint(f.MantBits())
 	sign := uint64(0)
@@ -148,18 +149,15 @@ func (f Format) assembleBits(m Mode, n uint64, qe int, negative bool) uint64 {
 	if n == 0 {
 		return sign
 	}
-	// Normalize: the caller guarantees qe >= EMin - MantBits. If n has grown
-	// past the 2^(p+1) significand range (possible only when rounding up a
-	// value with more result bits), renormalize by shifting.
-	for n >= 1<<(p+1) {
-		// Rounding can only produce a power of two here, so no bits are lost.
+	// Rounding carries at most one bit (see quantize).
+	if n >= 1<<(p+1) {
 		n >>= 1
 		qe++
 	}
-	var bits uint64
+	var b uint64
 	if n < 1<<p {
 		// Subnormal result: valid only at the subnormal quantum.
-		bits = n
+		b = n
 		if qe != f.EMin()-int(p) {
 			//lint:ignore barepanic arithmetic invariant of the quantization; proven by the format algebra, not reachable from inputs.
 			panic("fp: subnormal magnitude at non-subnormal quantum")
@@ -170,9 +168,56 @@ func (f Format) assembleBits(m Mode, n uint64, qe int, negative bool) uint64 {
 		if field >= (1<<uint(f.expBits))-1 {
 			return f.overflowBits(m, negative)
 		}
-		bits = uint64(field)<<p + (n - 1<<p)
+		b = uint64(field)<<p + (n - 1<<p)
 	}
-	return sign | bits
+	return sign | b
+}
+
+// float64 field layout.
+const (
+	f64FracBits = 52
+	f64FracMask = 1<<f64FracBits - 1
+	f64ExpMask  = 0x7ff
+	f64Bias     = 1023
+)
+
+// mantExp splits the bit pattern of a finite nonzero float64 into an
+// integer mantissa of at most 53 bits and the exponent of its unit:
+// |v| = mant · 2^e2. Subnormals keep their short mantissa at e2 = -1074.
+func mantExp(b uint64) (mant uint64, e2 int) {
+	field := int(b>>f64FracBits) & f64ExpMask
+	mant = b & f64FracMask
+	if field == 0 {
+		return mant, 1 - f64Bias - f64FracBits
+	}
+	return mant | 1<<f64FracBits, field - f64Bias - f64FracBits
+}
+
+// quantize, the rounding core of FromFloat64 and Rounder.Round, rounds the
+// magnitude mant · 2^e2 (mant nonzero, at most 53 bits) under mode m to n
+// units of 2^qe, the ulp of a format with p mantissa bits and subnormal
+// quantum 2^minq. The shift s below is at most p+1-len(mant), so n has at
+// most p+1 bits before rounding and at most 2^(p+1) after it.
+//
+//evalhot:loop
+func quantize(mant uint64, e2 int, p uint, minq int, m Mode, negative bool) (n uint64, qe int) {
+	// The leading bit of mant·2^e2 has exponent e2+len(mant)-1.
+	qe = e2 + bits.Len64(mant) - 1 - int(p)
+	if qe < minq {
+		qe = minq
+	}
+	var guard, sticky bool
+	if s := e2 - qe; s >= 0 {
+		n = mant << uint(s)
+	} else {
+		// Shifts of 64 or more yield 0: a magnitude far below one unit
+		// reads as guard=false, sticky=true.
+		sh := uint(-s)
+		n = mant >> sh
+		guard = (mant>>(sh-1))&1 != 0
+		sticky = mant&(1<<(sh-1)-1) != 0
+	}
+	return roundUnits(m, n, guard, sticky, negative), qe
 }
 
 // FromFloat64 rounds the exact real value v into the format under mode m
@@ -190,47 +235,9 @@ func (f Format) FromFloat64(v float64, m Mode) uint64 {
 		return f.Zero(math.Signbit(v))
 	}
 	negative := math.Signbit(v)
-	mag := math.Abs(v)
 	p := uint(f.MantBits())
-
-	// Express mag = mant * 2^e2 with mant an integer (at most 53 bits).
-	frac, exp := math.Frexp(mag) // mag = frac * 2^exp, frac in [0.5, 1)
-	mant := uint64(math.Ldexp(frac, 53))
-	e2 := exp - 53
-	// Strip trailing zeros so shifts stay small.
-	for mant&1 == 0 {
-		mant >>= 1
-		e2++
-	}
-
-	// Quantum exponent: ulp of the target at this magnitude.
-	ebin := exp - 1 // unbiased exponent of mag's leading bit
-	qe := ebin - int(p)
-	if minq := f.EMin() - int(p); qe < minq {
-		qe = minq
-	}
-
-	var n uint64
-	var guard, sticky bool
-	switch s := e2 - qe; {
-	case s >= 0:
-		// Exactly representable at this quantum (may still exceed the
-		// mantissa range — assembleBits handles the carry/overflow).
-		if s > 63 || mant > (math.MaxUint64>>uint(s)) {
-			// Cannot happen for supported formats: magnitude below
-			// maxFinite keeps n within p+2 bits. Guard anyway.
-			return f.overflowBits(m, negative)
-		}
-		n = mant << uint(s)
-	case s >= -63:
-		sh := uint(-s)
-		n = mant >> sh
-		guard = mant&(1<<(sh-1)) != 0
-		sticky = mant&((1<<(sh-1))-1) != 0
-	default:
-		n, guard, sticky = 0, false, true
-	}
-	n = roundUnits(m, n, guard, sticky, negative)
+	mant, e2 := mantExp(math.Float64bits(v))
+	n, qe := quantize(mant, e2, p, f.EMin()-int(p), m, negative)
 	return f.assembleBits(m, n, qe, negative)
 }
 

@@ -64,61 +64,30 @@ func (r *Rounder) overflow(negative bool) uint64 {
 
 // Round rounds the exact real value v into the rounder's format under its
 // mode and returns the resulting bit pattern. It is FromFloat64 with the
-// derived constants hoisted out of the call; the two stay bit-identical.
+// derived constants hoisted out of the call and the special values read off
+// the exponent field; both share quantize, so they stay bit-identical.
 //
 //evalhot:loop
 func (r *Rounder) Round(v float64) uint64 {
+	b := math.Float64bits(v)
+	negative := b>>63 != 0
 	switch {
-	case math.IsNaN(v):
-		return r.nan
-	case math.IsInf(v, 0):
-		if math.Signbit(v) {
+	case (b>>f64FracBits)&f64ExpMask == f64ExpMask:
+		if b&f64FracMask != 0 {
+			return r.nan
+		}
+		if negative {
 			return r.infNeg
 		}
 		return r.infPos
-	case v == 0:
-		if math.Signbit(v) {
+	case b<<1 == 0:
+		if negative {
 			return r.zeroNeg
 		}
 		return r.zeroPos
 	}
-	negative := math.Signbit(v)
-	mag := math.Abs(v)
-
-	// Express mag = mant * 2^e2 with mant an integer (at most 53 bits).
-	frac, exp := math.Frexp(mag) // mag = frac * 2^exp, frac in [0.5, 1)
-	mant := uint64(math.Ldexp(frac, 53))
-	e2 := exp - 53
-	for mant&1 == 0 {
-		mant >>= 1
-		e2++
-	}
-
-	// Quantum exponent: ulp of the target at this magnitude.
-	qe := exp - 1 - int(r.p)
-	if qe < r.minq {
-		qe = r.minq
-	}
-
-	var n uint64
-	var guard, sticky bool
-	switch s := e2 - qe; {
-	case s >= 0:
-		if s > 63 || mant > (math.MaxUint64>>uint(s)) {
-			// Cannot happen for supported formats (see FromFloat64); guard
-			// anyway.
-			return r.overflow(negative)
-		}
-		n = mant << uint(s)
-	case s >= -63:
-		sh := uint(-s)
-		n = mant >> sh
-		guard = mant&(1<<(sh-1)) != 0
-		sticky = mant&((1<<(sh-1))-1) != 0
-	default:
-		n, guard, sticky = 0, false, true
-	}
-	n = roundUnits(r.m, n, guard, sticky, negative)
+	mant, e2 := mantExp(b)
+	n, qe := quantize(mant, e2, r.p, r.minq, r.m, negative)
 	return r.assemble(n, qe, negative)
 }
 
@@ -133,7 +102,8 @@ func (r *Rounder) assemble(n uint64, qe int, negative bool) uint64 {
 	if n == 0 {
 		return sign
 	}
-	for n >= 1<<(r.p+1) {
+	// Rounding carries at most one bit (see quantize).
+	if n >= 1<<(r.p+1) {
 		n >>= 1
 		qe++
 	}

@@ -2,6 +2,7 @@ package fp
 
 import (
 	"math"
+	"math/big"
 	"math/rand"
 	"testing"
 )
@@ -70,5 +71,46 @@ func TestRounderZeroAllocs(t *testing.T) {
 		}
 	}); n != 0 {
 		t.Fatalf("Round allocates %v times per run", n)
+	}
+}
+
+// TestRoundMatchesFromBig checks the loop-free rounding core against an
+// independent reference, the exact big.Float path of FromBig, for every
+// format × mode (round-to-odd included). Beyond rounderCorpus, each format
+// gets 2^17 values drawn half as raw bit patterns (every exponent, NaN and
+// ∞ included) and half as normals near the format's range with random low
+// mantissa bits cleared, which lands on exact values and halfway points.
+func TestRoundMatchesFromBig(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	for _, f := range rounderFormats {
+		corpus := rounderCorpus(f, rng)
+		for i := 0; i < 1<<16; i++ {
+			corpus = append(corpus, math.Float64frombits(rng.Uint64()))
+			e := f.EMin() - f.MantBits() - 3 + rng.Intn(f.EMax()-f.EMin()+f.MantBits()+6)
+			v := math.Ldexp(1+rng.Float64(), e)
+			b := math.Float64bits(v) &^ (1<<uint(rng.Intn(53)) - 1)
+			if rng.Intn(2) == 0 {
+				b |= 1 << 63
+			}
+			corpus = append(corpus, math.Float64frombits(b))
+		}
+		xs := make([]*big.Float, len(corpus))
+		for i, v := range corpus {
+			if !math.IsNaN(v) {
+				xs[i] = new(big.Float).SetFloat64(v)
+			}
+		}
+		for _, m := range AllModes {
+			r := NewRounder(f, m)
+			for i, v := range corpus {
+				want := f.NaN()
+				if xs[i] != nil {
+					want = f.FromBig(xs[i], m)
+				}
+				if got := r.Round(v); got != want {
+					t.Fatalf("%v/%v: Round(%x) = %#x, FromBig = %#x", f, m, v, got, want)
+				}
+			}
+		}
 	}
 }

@@ -92,16 +92,6 @@ const (
 	CtrStoreBytesRead    Counter = "store.bytes_read"
 	CtrStoreBytesWritten Counter = "store.bytes_written"
 
-	// Store eviction (internal/pipeline EvictingStore; recorded once per
-	// run by internal/cli from the wrapper's stats snapshot, like the
-	// remote transport counters below). Evictions counts artifacts the
-	// LRU budget deleted; bytes_live is the tracked byte footprint at the
-	// end of the run. Both depend on access order under concurrency, so —
-	// like the transport retry count — they describe the run that
-	// happened rather than a worker-count-invariant quantity.
-	CtrStoreEvictions Counter = "store.evictions"
-	CtrStoreBytesLive Counter = "store.bytes_live"
-
 	// Remote store transport (internal/pipeline RemoteStore; recorded
 	// once per run by internal/cli from the client's RemoteStats
 	// snapshot). One round trip per store-operation attempt, so the
@@ -148,7 +138,6 @@ func Taxonomy() []Counter {
 		CtrRowsEnumerated, CtrRowsReduced,
 		CtrSpecialsResolved, CtrVerifyPatched,
 		CtrStoreHits, CtrStoreMisses, CtrStoreBytesRead, CtrStoreBytesWritten,
-		CtrStoreEvictions, CtrStoreBytesLive,
 		CtrRemoteRoundTrips, CtrRemoteRetries, CtrRemoteBytesSent, CtrRemoteBytesRecv,
 		CtrEvalBatches, CtrEvalInputs, CtrEvalSpecialHits, CtrEvalTruncated, CtrEvalFull,
 		CtrServeRequests, CtrServeShed, CtrServeCanceled, CtrServePanics,
@@ -156,16 +145,23 @@ func Taxonomy() []Counter {
 	}
 }
 
-// Volatile gauge names (worker-pool utilization, recorded by
-// internal/parallel). Gauges are additive like counters but depend on
+// Volatile gauge names. Gauges are additive like counters but depend on
 // scheduling and the worker count, so they live in the report's volatile
 // section and are excluded from determinism comparisons.
 const (
+	// Worker-pool utilization, recorded by internal/parallel.
 	GaugePoolInvocations = "pool.invocations" // ForEachErr calls observed
 	GaugePoolJobs        = "pool.jobs"        // jobs executed across those calls
 	GaugePoolWorkers     = "pool.workers"     // worker goroutines summed over calls
 	GaugePoolBusyNS      = "pool.busy_ns"     // summed worker-goroutine lifetimes
 	GaugePoolWallNS      = "pool.wall_ns"     // summed pool wall-clock spans
+
+	// Store eviction (internal/pipeline EvictingStore), recorded once per
+	// run by internal/cli from the wrapper's stats snapshot. Which
+	// artifacts the LRU budget deletes, and so the footprint left at the
+	// end of the run, depends on the order concurrent workers touch them.
+	GaugeStoreEvictions = "store.evictions"  // artifacts the budget deleted
+	GaugeStoreBytesLive = "store.bytes_live" // tracked bytes at the end of the run
 )
 
 // Recorder owns one run's observability state: a monotonic time base and

@@ -95,7 +95,17 @@ func (s expScheme) Reduce(x float64) (Ctx, bool) {
 }
 
 func (s expScheme) Compensate(ctx Ctx, y0, _ float64) float64 {
-	return math.Ldexp(y0*ctx.T, ctx.E)
+	return scale(y0*ctx.T, ctx.E)
+}
+
+// scale returns math.Ldexp(y, e). For normal-range e it multiplies by the
+// bit-built 2^e: one multiplication, rounded to nearest even exactly like
+// Ldexp's own final multiplication when the result leaves the normal range.
+func scale(y float64, e int) float64 {
+	if uint(e+1022) <= 2045 { // -1022 ≤ e ≤ 1023
+		return y * math.Float64frombits(uint64(e+1023)<<52)
+	}
+	return math.Ldexp(y, e)
 }
 
 func (s expScheme) Special(x float64) float64 {

@@ -33,9 +33,7 @@ func (s logScheme) Reduce(x float64) (Ctx, bool) {
 	if math.IsNaN(x) || x <= 0 || math.IsInf(x, 1) || x == 1 {
 		return Ctx{}, false
 	}
-	frac, exp := math.Frexp(x) // x = frac·2^exp, frac ∈ [0.5,1)
-	m := 2 * frac              // exact
-	e := exp - 1
+	m, e := logSplit(x)
 	j := int((m - 1) * 128) // floor; exact scaling by a power of two
 	F := 1 + float64(j)/128
 	r := (m - F) * recipF[j] // m-F exact (Sterbenz)
@@ -49,6 +47,19 @@ func (s logScheme) Reduce(x float64) (Ctx, bool) {
 		t = float64(e)*log102Double + log10F[j]
 	}
 	return Ctx{R: r, T: t}, true
+}
+
+// logSplit returns m ∈ [1,2) and e with x = m·2^e, for finite x > 0, from
+// the bits of x. Only subnormal x, which no F(n,8) produces, takes
+// math.Frexp.
+func logSplit(x float64) (m float64, e int) {
+	b := math.Float64bits(x)
+	field := int(b >> 52)
+	if field == 0 {
+		frac, exp := math.Frexp(x) // x = frac·2^exp, frac ∈ [0.5,1)
+		return 2 * frac, exp - 1
+	}
+	return math.Float64frombits(b&(1<<52-1) | 1023<<52), field - 1023
 }
 
 func (s logScheme) Compensate(ctx Ctx, y0, _ float64) float64 {

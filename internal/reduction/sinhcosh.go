@@ -64,8 +64,8 @@ func (s sinhCoshScheme) Reduce(x float64) (Ctx, bool) {
 	r := (a - n*ln2Over64Hi) - n*ln2Over64Lo
 	ni := int(n)
 	q, j := ni>>6, ni&63
-	ep := math.Ldexp(exp2J[j], q)
-	en := math.Ldexp(exp2Jn[j], -q)
+	ep := scale(exp2J[j], q)
+	en := scale(exp2Jn[j], -q)
 	diff, sum := 0.5*(ep-en), 0.5*(ep+en)
 	ctx := Ctx{R: r, Sign: 1}
 	if s.fn == bigmath.Sinh {

@@ -53,9 +53,13 @@ const trigAnchorCut = 1.0 / (1 << 17)
 
 // fold reduces x (finite, 2x non-integral) to (w, ssign, csign) with
 // w ∈ [0, ½], sinπ(x) = ssign·sinπ(w) and cosπ(x) = csign·cosπ(w). Every
-// step is exact in float64.
+// step is exact in float64: for a = |x| ≥ 2, a - 2·⌊a/2⌋ ∈ [0,2) is a
+// multiple of ulp(a), or 0 once ulp(a) ≥ 2.
 func fold(x float64) (w, ssign, csign float64) {
-	z := math.Mod(math.Abs(x), 2) // exact
+	z := math.Abs(x)
+	if z >= 2 {
+		z -= 2 * math.Floor(z/2)
+	}
 	ssign, csign = 1, 1
 	w = z
 	if w > 1 {
