@@ -104,9 +104,12 @@ check-serve:
 # identical command against the still-warm store must report a resumed
 # campaign — the store pins the manifest by default, so nothing has to
 # ask it to. BENCH_campaign.json and campaign_report.json land in the
-# repo root for CI to upload (DESIGN.md §14).
+# gitignored $(CAMPAIGN_OUT) for CI to upload, leaving the checked-in copies
+# in the repo root untouched (DESIGN.md §14).
+CAMPAIGN_OUT ?= out/check-campaign
 check-campaign:
 	$(GO) test -race -timeout 10m ./internal/campaign/
+	mkdir -p $(CAMPAIGN_OUT)
 	$(eval CAMPAIGN_DIR := $(shell mktemp -d))
 	$(GO) build -race -o $(CAMPAIGN_DIR)/rlibm-store ./cmd/rlibm-store
 	$(GO) build -race -o $(CAMPAIGN_DIR)/rlibm-campaign ./cmd/rlibm-campaign
@@ -115,7 +118,7 @@ check-campaign:
 	  sleep 1; \
 	  $(CAMPAIGN_DIR)/rlibm-campaign -store tcp://127.0.0.1:8095 -peers 2 \
 	    -funcs cospi -bits 12 -min-bits 10 -levels 10,12 \
-	    -out BENCH_campaign.json -campaign-report campaign_report.json; \
+	    -out $(CAMPAIGN_OUT)/BENCH_campaign.json -campaign-report $(CAMPAIGN_OUT)/campaign_report.json; \
 	  first=$$?; \
 	  $(CAMPAIGN_DIR)/rlibm-campaign -store tcp://127.0.0.1:8095 -peers 2 \
 	    -funcs cospi -bits 12 -min-bits 10 -levels 10,12 \

@@ -1,6 +1,9 @@
 // Command rlibm-check verifies one function of one library implementation
 // against the arbitrary-precision oracle over a chosen format, exhaustively
-// or by sampling, for any subset of rounding modes.
+// or by sampling, for any subset of rounding modes. The generated libraries
+// (prog, rlibm-all) are checked through their compiled serving kernels, the
+// code libm and rlibm-serve run; a format wider than their tables is an
+// error.
 //
 //	rlibm-check -func exp -format F19,8 -modes rn,rz
 //	rlibm-check -func log2 -lib crlibm -format F25,8 -samples 1000000
@@ -13,22 +16,12 @@ import (
 	"os"
 	"strings"
 
-	"repro/internal/baseline"
 	"repro/internal/bigmath"
 	"repro/internal/cli"
 	"repro/internal/fp"
-	"repro/internal/gen"
-	"repro/internal/libm"
-	"repro/internal/obs"
 	"repro/internal/oracle"
 	"repro/internal/verify"
 )
-
-type crAdapter struct{ lib baseline.CRLibm }
-
-func (c crAdapter) Bits(x float64, out fp.Format, mode fp.Mode) uint64 {
-	return c.lib.Bits(x, out, mode)
-}
 
 func main() {
 	common := cli.Register(flag.CommandLine)
@@ -68,47 +61,20 @@ func main() {
 		ms = append(ms, m)
 	}
 
-	progFor, baseFor := libm.Progressive, libm.RLibmAll
-	if *generate {
-		ctx, cancel := common.Context()
-		defer cancel()
-		ctx = obs.WithSpan(ctx, rec.Root())
-		store, err := common.Store()
-		if err != nil {
-			log.Fatal(err)
-		}
-		defer common.CloseStore()
-		progFor = func(fn bigmath.Func) (*gen.Result, error) {
-			res, _, err := cli.GenerateVerified(ctx, fn, common.ProgressiveOptions(false, nil), store)
-			return res, err
-		}
-		baseFor = func(fn bigmath.Func) (*gen.Result, error) {
-			res, _, err := cli.GenerateVerified(ctx, fn, common.BaselineOptions(fn, nil), store)
-			return res, err
+	libs, done, err := common.Libraries(*generate, rec)
+	if err != nil {
+		log.Fatal(err)
+	}
+	defer done()
+	var impl verify.Impl
+	for _, l := range libs.List() {
+		if l.Name == *lib {
+			if impl, err = l.Impl(fn, f); err != nil {
+				log.Fatal(err)
+			}
 		}
 	}
-
-	var impl verify.Impl
-	switch *lib {
-	case "prog":
-		res, err := progFor(fn)
-		if err != nil {
-			log.Fatal(err)
-		}
-		impl = verify.NewGenImpl(res)
-	case "rlibm-all":
-		res, err := baseFor(fn)
-		if err != nil {
-			log.Fatal(err)
-		}
-		impl = verify.NewGenImpl(res)
-	case "glibc":
-		impl = baseline.MathLibm{Fn: fn}
-	case "intel":
-		impl = baseline.DDLibm{Fn: fn}
-	case "crlibm":
-		impl = crAdapter{baseline.CRLibm{Fn: fn}}
-	default:
+	if impl == nil {
 		log.Fatalf("unknown library %q", *lib)
 	}
 
@@ -131,7 +97,7 @@ func main() {
 				}
 				x := f.Decode(b)
 				fmt.Printf("  input %#x (%g): got %#x want %#x\n",
-					b, x, impl.Bits(x, f, r.Mode), wantBits(orc, x, f, r.Mode))
+					b, x, impl.Bits(x, f, r.Mode), verify.Want(orc, x, f, r.Mode))
 			}
 		}
 	}
@@ -146,9 +112,4 @@ func main() {
 	if bad {
 		os.Exit(1)
 	}
-}
-
-func wantBits(orc *oracle.Oracle, x float64, f fp.Format, mode fp.Mode) uint64 {
-	ext := f.Extend(2)
-	return f.FromFloat64(ext.Decode(orc.Result(x, ext, fp.RoundToOdd)), mode)
 }

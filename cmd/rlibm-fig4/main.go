@@ -32,9 +32,6 @@ import (
 	"repro/internal/cli"
 	"repro/internal/eval"
 	"repro/internal/fp"
-	"repro/internal/gen"
-	"repro/internal/libm"
-	"repro/internal/obs"
 )
 
 const corpusSize = 4096
@@ -102,30 +99,12 @@ func main() {
 	// Timing is serial; -workers pins GOMAXPROCS so runs stay comparable.
 	runtime.GOMAXPROCS(common.Workers)
 
-	progFor, baseFor := libm.Progressive, libm.RLibmAll
-	largest, haveTables := libm.LargestFormat()
-	if *generate {
-		ctx, cancel := common.Context()
-		defer cancel()
-		ctx = obs.WithSpan(ctx, rec.Root())
-		store, err := common.Store()
-		if err != nil {
-			log.Fatal(err)
-		}
-		defer common.CloseStore()
-		progFor = func(fn bigmath.Func) (*gen.Result, error) {
-			res, _, err := cli.GenerateVerified(ctx, fn, common.ProgressiveOptions(false, nil), store)
-			return res, err
-		}
-		baseFor = func(fn bigmath.Func) (*gen.Result, error) {
-			res, _, err := cli.GenerateVerified(ctx, fn, common.BaselineOptions(fn, nil), store)
-			return res, err
-		}
-		largest = fp.MustFormat(common.Bits, 8)
-	} else if !haveTables {
-		fmt.Fprintln(os.Stderr, "no generated tables; run cmd/rlibm-gen -emit internal/libm first (or pass -generate)")
-		os.Exit(1)
+	libs, done, err := common.Libraries(*generate, rec)
+	if err != nil {
+		log.Fatal(err)
 	}
+	defer done()
+	largest := libs.Largest
 	formats := []struct {
 		name string
 		f    fp.Format
@@ -151,12 +130,12 @@ func main() {
 	fmt.Println(strings.Repeat("-", 103))
 
 	for _, fn := range bigmath.AllFuncs {
-		prog, err := progFor(fn)
+		prog, err := libs.Prog(fn)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "%v: %v\n", fn, err)
 			os.Exit(1)
 		}
-		base, err := baseFor(fn)
+		base, err := libs.Base(fn)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "%v: %v\n", fn, err)
 			os.Exit(1)
@@ -180,9 +159,10 @@ func main() {
 			var sink uint64
 			var fsink float64
 			ours := timeIt(func() { kProg.EvalBatch(dst, xs) })
-			// Kernel-only timing (no final rounding): isolates the
-			// progressive prefix-evaluation effect, which the shared
-			// software rounding step otherwise dilutes. The paper's
+			// Kernel-only timing (no final rounding) of the reference
+			// evaluator gen.Result.EvalValue, not of the eval kernel:
+			// isolates the progressive prefix-evaluation effect, which the
+			// shared software rounding step otherwise dilutes. The paper's
 			// hardware rounding makes its full-function numbers closer to
 			// this column.
 			kernel := timeIt(func() {

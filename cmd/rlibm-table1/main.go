@@ -14,15 +14,11 @@ package main
 
 import (
 	"flag"
-	"fmt"
 	"log"
 	"os"
 
 	"repro/internal/bigmath"
 	"repro/internal/cli"
-	"repro/internal/gen"
-	"repro/internal/libm"
-	"repro/internal/obs"
 	"repro/internal/report"
 )
 
@@ -40,40 +36,12 @@ func main() {
 	defer stopProfiles()
 	rec := common.NewRecorder()
 
-	prog, base := libm.Progressive, libm.RLibmAll
-	if *generate {
-		ctx, cancel := common.Context()
-		defer cancel()
-		ctx = obs.WithSpan(ctx, rec.Root())
-		store, err := common.Store()
-		if err != nil {
-			log.Fatal(err)
-		}
-		defer common.CloseStore()
-		logf := common.Logf()
-		prog = func(fn bigmath.Func) (*gen.Result, error) {
-			res, _, err := cli.GenerateVerified(ctx, fn, common.ProgressiveOptions(false, logf), store)
-			return res, err
-		}
-		base = func(fn bigmath.Func) (*gen.Result, error) {
-			res, _, err := cli.GenerateVerified(ctx, fn, common.BaselineOptions(fn, logf), store)
-			return res, err
-		}
-	} else {
-		missing := false
-		for _, fn := range bigmath.AllFuncs {
-			if !libm.Have(fn) || !libm.HaveBaseline(fn) {
-				fmt.Fprintf(os.Stderr, "missing generated tables for %v\n", fn)
-				missing = true
-			}
-		}
-		if missing {
-			fmt.Fprintln(os.Stderr, "run: go run ./cmd/rlibm-gen -emit internal/libm && go run ./cmd/rlibm-gen -baseline -emit internal/libm (or pass -generate)")
-			os.Exit(1)
-		}
+	libs, done, err := common.Libraries(*generate, rec)
+	if err != nil {
+		log.Fatal(err)
 	}
-
-	if err := report.Table1(os.Stdout, bigmath.AllFuncs, prog, base); err != nil {
+	defer done()
+	if err := report.Table1(os.Stdout, bigmath.AllFuncs, libs.Prog, libs.Base); err != nil {
 		log.Fatal(err)
 	}
 	if err := common.FinishRun(rec, "rlibm-table1"); err != nil {

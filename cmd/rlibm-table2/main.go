@@ -9,10 +9,12 @@
 // format is sampled by default (-exhaustive enumerates all of it, which
 // takes minutes per function on one core).
 //
-// By default the generated libraries come from the emitted internal/libm
-// tables; with -generate they are generated through the staged pipeline,
-// reusing the shared artifact cache (-cache-dir) — after an rlibm-table1
-// -generate run the enumeration is never repeated.
+// The generated libraries are checked through their compiled serving
+// kernels, the code libm and rlibm-serve run. By default they come from
+// the emitted internal/libm tables; with -generate they are generated
+// through the staged pipeline, reusing the shared artifact cache
+// (-cache-dir) — after an rlibm-table1 -generate run the enumeration is
+// never repeated.
 package main
 
 import (
@@ -22,29 +24,12 @@ import (
 	"os"
 	"strings"
 
-	"repro/internal/baseline"
 	"repro/internal/bigmath"
 	"repro/internal/cli"
 	"repro/internal/fp"
-	"repro/internal/gen"
-	"repro/internal/libm"
-	"repro/internal/obs"
 	"repro/internal/oracle"
 	"repro/internal/verify"
 )
-
-type column struct {
-	name string
-	impl func(fn bigmath.Func) verify.Impl
-	// modes the library supports for the all-rm column.
-	allModes []fp.Mode
-}
-
-type crAdapter struct{ lib baseline.CRLibm }
-
-func (c crAdapter) Bits(x float64, out fp.Format, mode fp.Mode) uint64 {
-	return c.lib.Bits(x, out, mode)
-}
 
 func main() {
 	common := cli.Register(flag.CommandLine)
@@ -64,50 +49,13 @@ func main() {
 	defer stopProfiles()
 	rec := common.NewRecorder()
 
-	progFor, baseFor := libm.Progressive, libm.RLibmAll
-	largest, haveTables := libm.LargestFormat()
-	if *generate {
-		ctx, cancel := common.Context()
-		defer cancel()
-		ctx = obs.WithSpan(ctx, rec.Root())
-		store, err := common.Store()
-		if err != nil {
-			log.Fatal(err)
-		}
-		defer common.CloseStore()
-		progFor = func(fn bigmath.Func) (*gen.Result, error) {
-			res, _, err := cli.GenerateVerified(ctx, fn, common.ProgressiveOptions(false, nil), store)
-			return res, err
-		}
-		baseFor = func(fn bigmath.Func) (*gen.Result, error) {
-			res, _, err := cli.GenerateVerified(ctx, fn, common.BaselineOptions(fn, nil), store)
-			return res, err
-		}
-		largest = fp.MustFormat(common.Bits, 8)
-	} else if !haveTables {
-		fmt.Fprintln(os.Stderr, "no generated tables; run cmd/rlibm-gen -emit internal/libm first (or pass -generate)")
-		os.Exit(1)
+	libs, done, err := common.Libraries(*generate, rec)
+	if err != nil {
+		log.Fatal(err)
 	}
-	fourModes := []fp.Mode{fp.RoundNearestEven, fp.RoundTowardZero, fp.RoundTowardPositive, fp.RoundTowardNegative}
-	columns := []column{
-		{"RLIBM-Prog", func(fn bigmath.Func) verify.Impl {
-			res, err := progFor(fn)
-			if err != nil {
-				return nil
-			}
-			return verify.NewGenImpl(res)
-		}, fp.StandardModes},
-		{"glibc-sub", func(fn bigmath.Func) verify.Impl { return baseline.MathLibm{Fn: fn} }, fp.StandardModes},
-		{"intel-sub", func(fn bigmath.Func) verify.Impl { return baseline.DDLibm{Fn: fn} }, fp.StandardModes},
-		{"crlibm-sub", func(fn bigmath.Func) verify.Impl { return crAdapter{baseline.CRLibm{Fn: fn}} }, fourModes},
-		{"RLibm-All", func(fn bigmath.Func) verify.Impl {
-			res, err := baseFor(fn)
-			if err != nil {
-				return nil
-			}
-			return verify.NewGenImpl(res)
-		}, fp.StandardModes},
-	}
+	defer done()
+	largest := libs.Largest
+	columns := libs.List()
 
 	fmt.Printf("Table 2: correctly rounded results for all inputs (largest format %v", largest)
 	if *exhaustive {
@@ -119,15 +67,12 @@ func main() {
 	fmt.Println(strings.Repeat("=", 20+22*len(columns)))
 	fmt.Printf("%-7s", "f(x)")
 	for _, c := range columns {
-		fmt.Printf(" | %-18s", c.name)
+		fmt.Printf(" | %-18s", c.Column)
 	}
 	fmt.Println()
 	fmt.Println(strings.Repeat("-", 20+22*len(columns)))
 
-	mark := func(correct, supported bool) string {
-		if !supported {
-			return "N/A"
-		}
+	mark := func(correct bool) string {
 		if correct {
 			return "Y"
 		}
@@ -137,23 +82,29 @@ func main() {
 		orc := oracle.New(fn)
 		fmt.Printf("%-7s", fn)
 		for _, col := range columns {
-			impl := col.impl(fn)
-			if impl == nil {
+			var impls [3]verify.Impl
+			for i, f := range []fp.Format{fp.Bfloat16, fp.TensorFloat32, largest} {
+				if impls[i], err = col.Impl(fn, f); err != nil {
+					break
+				}
+			}
+			if err != nil {
+				fmt.Fprintf(os.Stderr, "%v %s: %v\n", fn, col.Column, err)
 				fmt.Printf(" | %-18s", "missing")
 				continue
 			}
-			smallOK := allCorrect(verify.Exhaustive(impl, orc, fp.Bfloat16, []fp.Mode{fp.RoundNearestEven}, common.Workers)) &&
-				allCorrect(verify.Exhaustive(impl, orc, fp.TensorFloat32, []fp.Mode{fp.RoundNearestEven}, common.Workers))
+			rn := []fp.Mode{fp.RoundNearestEven}
+			smallOK := allCorrect(verify.Exhaustive(impls[0], orc, fp.Bfloat16, rn, common.Workers)) &&
+				allCorrect(verify.Exhaustive(impls[1], orc, fp.TensorFloat32, rn, common.Workers))
 			var rnReports, allReports []verify.Report
 			if *exhaustive {
-				rnReports = verify.Exhaustive(impl, orc, largest, []fp.Mode{fp.RoundNearestEven}, common.Workers)
-				allReports = verify.Exhaustive(impl, orc, largest, col.allModes, common.Workers)
+				rnReports = verify.Exhaustive(impls[2], orc, largest, rn, common.Workers)
+				allReports = verify.Exhaustive(impls[2], orc, largest, col.Modes, common.Workers)
 			} else {
-				rnReports = verify.Sampled(impl, orc, largest, []fp.Mode{fp.RoundNearestEven}, *samples, common.Seed, common.Workers)
-				allReports = verify.Sampled(impl, orc, largest, col.allModes, *samples, common.Seed+1, common.Workers)
+				rnReports = verify.Sampled(impls[2], orc, largest, rn, *samples, common.Seed, common.Workers)
+				allReports = verify.Sampled(impls[2], orc, largest, col.Modes, *samples, common.Seed+1, common.Workers)
 			}
-			fmt.Printf(" | %-4s %-4s %-8s", mark(smallOK, true),
-				mark(allCorrect(rnReports), true), mark(allCorrect(allReports), true))
+			fmt.Printf(" | %-4s %-4s %-8s", mark(smallOK), mark(allCorrect(rnReports)), mark(allCorrect(allReports)))
 		}
 		fmt.Println()
 	}

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"repro/internal/bigmath"
+	"repro/internal/eval"
 	"repro/internal/fp"
 	"repro/internal/gen"
 	"repro/internal/oracle"
@@ -44,10 +45,15 @@ func main() {
 	fmt.Printf("polynomial: %d piece(s), %v terms for %v, %v terms for %v, %d coefficient bytes\n",
 		res.NumPieces()[0], res.TermsAt(1), large, res.TermsAt(0), small, res.CoefficientBytes())
 
-	// Exhaustive verification: every input of the large format under all
-	// five modes, every input of the small format under rn.
+	// Exhaustive verification through the compiled kernels: every input of
+	// the large format under all five modes, every input of the small
+	// format under rn.
 	for li, modes := range [][]fp.Mode{{fp.RoundNearestEven}, fp.StandardModes} {
-		for _, rep := range verify.ExhaustiveLevel(res, orc, li, modes, 0) {
+		reps, err := verify.ExhaustiveLevel(res, orc, li, modes, 0)
+		if err != nil {
+			log.Fatal(err)
+		}
+		for _, rep := range reps {
 			fmt.Printf("  %v\n", rep)
 			if !rep.Correct() {
 				log.Fatal("verification failed")
@@ -55,10 +61,13 @@ func main() {
 		}
 	}
 
-	// Use it: a few values.
+	// Use it: a few values through the kernel libm would serve them from.
+	k, err := eval.Compile(res, large, fp.RoundNearestEven)
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Printf("\ncorrectly rounded 2^x in %v:\n", large)
 	for _, x := range []float64{-3.5, 0.3359375, 1.75, 9.0625} {
-		bits := res.Eval(x, 1, large, fp.RoundNearestEven)
-		fmt.Printf("  2^%-10v = %v\n", x, large.Decode(bits))
+		fmt.Printf("  2^%-10v = %v\n", x, large.Decode(k.Eval(x)))
 	}
 }

@@ -116,16 +116,20 @@ func RunWorker(ctx context.Context, cfg WorkerConfig) (*PeerReport, error) {
 		})
 
 		// Units 2..: the progressive sweep, one claimable unit per format,
-		// dealt round-robin so any peer-count split covers the list. The
-		// store is passed even for a solo peer, so a warm rerun decodes
-		// every sealed sweep instead of recomputing it.
-		impl := verify.NewGenImpl(res)
+		// dealt round-robin so any peer-count split covers the list, each
+		// checking the format's serving kernels. The store is passed even
+		// for a solo peer, so a warm rerun decodes every sealed sweep
+		// instead of recomputing it.
 		sweeps := make([]UnitResult, len(formats))
 		reps, err := gen.RunUnits(ctx, cfg.Store, cfg.Shard, len(formats),
 			func(i int) pipeline.Key { return SweepKey(fn, fnOpt, formats[i].Bits()) },
 			sweepCodec,
 			func(_ context.Context, i int) ([]verify.Report, error) {
 				swStart := time.Now()
+				impl, err := verify.Compile(res, formats[i])
+				if err != nil {
+					return nil, err
+				}
 				r := verify.Exhaustive(impl, orc, formats[i], fp.StandardModes, p.Workers)
 				sweeps[i] = UnitResult{Computed: true, DurMS: time.Since(swStart).Milliseconds()}
 				return r, nil

@@ -1,12 +1,17 @@
 package cli_test
 
 import (
+	"errors"
 	"flag"
 	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/bigmath"
 	"repro/internal/cli"
+	"repro/internal/eval"
+	"repro/internal/fp"
+	"repro/internal/libm"
 )
 
 func TestValidateRejectsBadWorkers(t *testing.T) {
@@ -193,6 +198,49 @@ func TestParseLevels(t *testing.T) {
 	for _, bad := range []string{"", ":", "F10,8:junk", "nope"} {
 		if _, err := cli.ParseLevels(bad); err == nil {
 			t.Errorf("ParseLevels(%q) succeeded; want error", bad)
+		}
+	}
+}
+
+// The library list behind rlibm-check -lib and the Table 2 columns: the
+// generated libraries answer through their serving kernels with libm's
+// bits, and a format wider than their tables is eval.ErrTooWide rather
+// than the largest level evaluated on inputs outside its format.
+func TestLibrariesServeKernels(t *testing.T) {
+	c := cli.Register(flag.NewFlagSet("test", flag.ContinueOnError))
+	libs, done, err := c.Libraries(false, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer done()
+	var names, columns []string
+	for _, l := range libs.List() {
+		names = append(names, l.Name)
+		columns = append(columns, l.Column)
+	}
+	if got := strings.Join(names, ","); got != "prog,glibc,intel,crlibm,rlibm-all" {
+		t.Errorf("library names = %s", got)
+	}
+	if got := strings.Join(columns, ","); got != "RLIBM-Prog,glibc-sub,intel-sub,crlibm-sub,RLibm-All" {
+		t.Errorf("Table 2 columns = %s", got)
+	}
+	fn := bigmath.Log2
+	for _, l := range []cli.Library{libs.List()[0], libs.List()[4]} {
+		if _, err := l.Impl(fn, fp.MustFormat(25, 8)); !errors.Is(err, eval.ErrTooWide) {
+			t.Errorf("%s at F25,8: %v, want eval.ErrTooWide", l.Name, err)
+		}
+	}
+	prog, err := libs.List()[0].Impl(fn, fp.Bfloat16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, x := range []float64{0.5, 3, 0x1p-70, 0x1.8p100} {
+		want, err := libm.Eval(fn, x, fp.Bfloat16, fp.RoundTowardZero)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := prog.Bits(x, fp.Bfloat16, fp.RoundTowardZero); got != want {
+			t.Errorf("prog log2(%v) = %#x, libm %#x", x, got, want)
 		}
 	}
 }

@@ -52,7 +52,7 @@ func repairSharded(ctx context.Context, st pipeline.Store, fn bigmath.Func, opt 
 			func(j int) pipeline.Key { return gen.VerifyShardKey(fn, opt, li, pass, j, len(units)) },
 			shardReportCodec,
 			func(_ context.Context, j int) ([]verify.Report, error) {
-				return verify.ExhaustiveLevelRange(res, orc, li, modes, opt.Workers, units[j].Lo, units[j].Hi), nil
+				return verify.ExhaustiveLevelRange(res, orc, li, modes, opt.Workers, units[j].Lo, units[j].Hi)
 			}, 1, opt.Faults, pipeline.Logf(opt.Logf))
 		if err != nil {
 			return nil, err

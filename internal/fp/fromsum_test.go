@@ -40,6 +40,51 @@ func TestFromSumMatchesBigRandom(t *testing.T) {
 	}
 }
 
+// FromSum must equal FromBig on the exact sum over its whole documented
+// contract |lo| ≤ |hi|/4 — including sums that leave hi's binade, up or
+// down — in every mode and several formats. The two witnesses misrounded
+// when the quantum was taken from hi's binade.
+func TestFromSumMatchesFromBig(t *testing.T) {
+	for _, w := range []struct {
+		hi, lo float64
+		m      Mode
+		want   uint64
+	}{
+		{1.99, 0.49, RoundNearestEven, 0x401f},
+		{1.99, 0.49, RoundNearestAway, 0x401f},
+		{1.99, 0.49, RoundToOdd, 0x401f},
+		{1.9, 0.4, RoundTowardPositive, 0x4014},
+	} {
+		if got := Bfloat16.FromSum(w.hi, w.lo, w.m); got != w.want {
+			t.Errorf("bfloat16 FromSum(%v, %v, %v) = %#x, want %#x", w.hi, w.lo, w.m, got, w.want)
+		}
+	}
+	formats := []Format{Bfloat16, TensorFloat32, MustFormat(22, 8), MustFormat(49, 10), MustFormat(60, 8)}
+	rng := rand.New(rand.NewSource(93))
+	for _, f := range formats {
+		for trial := 0; trial < 30000; trial++ {
+			hi := math.Ldexp(rng.Float64()+0.5, rng.Intn(300)-150)
+			if rng.Intn(2) == 0 {
+				hi = -hi
+			}
+			var lo float64
+			switch trial % 4 {
+			case 0: // the contract's edge
+				lo = hi / 4
+			case 1:
+				lo = -hi / 4
+			default: // any ratio in [-1/4, 1/4], at any scale below it
+				lo = math.Ldexp(hi*(rng.Float64()-0.5)/2, -rng.Intn(80))
+			}
+			for _, m := range AllModes {
+				if got, want := f.FromSum(hi, lo, m), refFromSum(f, hi, lo, m); got != want {
+					t.Fatalf("%v FromSum(%x, %x, %v) = %#x want %#x", f, hi, lo, m, got, want)
+				}
+			}
+		}
+	}
+}
+
 // Adversarial structure: hi exactly on format boundaries (representable
 // values, midpoints, powers of two) with tiny lo of both signs — the cases
 // where the residual decides the rounding.

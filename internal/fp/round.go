@@ -193,8 +193,8 @@ func mantExp(b uint64) (mant uint64, e2 int) {
 	return mant | 1<<f64FracBits, field - f64Bias - f64FracBits
 }
 
-// quantize, the rounding core of FromFloat64 and Rounder.Round, rounds the
-// magnitude mant · 2^e2 (mant nonzero, at most 53 bits) under mode m to n
+// quantize, the rounding core of FromFloat64, FromSum and Rounder.Round,
+// rounds the magnitude mant · 2^e2 (mant nonzero) under mode m to n
 // units of 2^qe, the ulp of a format with p mantissa bits and subnormal
 // quantum 2^minq. The shift s below is at most p+1-len(mant), so n has at
 // most p+1 bits before rounding and at most 2^(p+1) after it.

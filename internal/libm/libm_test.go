@@ -91,8 +91,8 @@ func TestEmitGoParses(t *testing.T) {
 	}
 }
 
-// If real tables are checked in, they must be exhaustively correct for
-// bfloat16 under rn — a cheap guard that the committed data matches the
+// If real tables are checked in, their serving kernels must be exhaustively
+// correct for bfloat16 under rn — a cheap guard that the committed data matches the
 // committed code.
 func TestCommittedTablesBfloat16(t *testing.T) {
 	if testing.Short() {
@@ -105,7 +105,10 @@ func TestCommittedTablesBfloat16(t *testing.T) {
 		}
 		anyChecked = true
 		res, _ := Progressive(fn)
-		impl := verify.NewGenImpl(res)
+		impl, err := verify.Compile(res, fp.Bfloat16)
+		if err != nil {
+			t.Fatalf("%v: %v", fn, err)
+		}
 		orc := oracleFor(fn)
 		for _, rep := range verify.Exhaustive(impl, orc, fp.Bfloat16, []fp.Mode{fp.RoundNearestEven}, 0) {
 			if !rep.Correct() {
@@ -139,9 +142,12 @@ func TestCommittedTablesIntermediateFormats(t *testing.T) {
 			continue
 		}
 		res, _ := Progressive(fn)
-		impl := verify.NewGenImpl(res)
 		orc := oracleFor(fn)
 		for _, f := range []fp.Format{mid, small} {
+			impl, err := verify.Compile(res, f)
+			if err != nil {
+				t.Fatalf("%v at %v: %v", fn, f, err)
+			}
 			for _, rep := range verify.Sampled(impl, orc, f, fp.StandardModes, 3000, 11, 0) {
 				if !rep.Correct() {
 					t.Errorf("%v at %v: %v", fn, f, rep)

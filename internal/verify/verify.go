@@ -1,6 +1,10 @@
-// Package verify checks generated implementations (and comparator
-// libraries) for correct rounding by exhaustive enumeration, reproducing
-// the methodology behind Table 2 of the paper.
+// Package verify checks math-library implementations for correct rounding
+// against the arbitrary-precision oracle, exhaustively or by sampling,
+// reproducing the methodology behind Table 2 of the paper. A generated
+// result is checked through the compiled eval kernels that libm and
+// rlibm-serve run (Compile, ExhaustiveLevel), so a verdict speaks for the
+// code users call; gen.Result.Eval is only the specification the kernels
+// are tested against.
 //
 // The (input × rounding-mode) space of every check is sharded into
 // contiguous bit-ranges and verified on a worker pool (the workers argument
@@ -9,13 +13,14 @@
 // order, so mismatch counts, mismatch lists and first-failure witnesses are
 // bit-identical to a serial sweep for every worker count. Impl
 // implementations must therefore be safe for concurrent Bits calls — the
-// generated Result, the baselines and the oracle all are.
+// compiled kernels, the baselines and the oracle all are.
 package verify
 
 import (
 	"fmt"
 	"math/rand"
 
+	"repro/internal/eval"
 	"repro/internal/fp"
 	"repro/internal/gen"
 	"repro/internal/oracle"
@@ -24,13 +29,45 @@ import (
 )
 
 // Impl is any math-library implementation of one elementary function that
-// can answer "f(x) rounded into out under mode" — the generated library,
-// the RLibm-All baseline, and the double-precision comparators all satisfy
-// it. Bits must be safe for concurrent calls.
+// can answer "f(x) rounded into out under mode": the compiled kernels of a
+// generated library (Compile) and the double-precision comparators of
+// internal/baseline satisfy it. Bits must be safe for concurrent calls.
 type Impl interface {
 	// Bits returns the result bit pattern of f(x) in out under mode; x is
-	// always a value of out... of the queried input format.
+	// always a value of out, the format being checked.
 	Bits(x float64, out fp.Format, mode fp.Mode) uint64
+}
+
+// kernels is the Impl of a generated result in one output format: one
+// compiled eval kernel per rounding mode, indexed by mode.
+type kernels [fp.RoundToOdd + 1]*eval.Kernel
+
+// Bits evaluates x through the kernel of mode; out is the format the
+// kernels were compiled for.
+func (k *kernels) Bits(x float64, _ fp.Format, mode fp.Mode) uint64 { return k[mode].Eval(x) }
+
+// compileModes compiles one kernel per mode with compile.
+func compileModes(modes []fp.Mode, compile func(fp.Mode) (*eval.Kernel, error)) (*kernels, error) {
+	var k kernels
+	for _, m := range modes {
+		kern, err := compile(m)
+		if err != nil {
+			return nil, err
+		}
+		k[m] = kern
+	}
+	return &k, nil
+}
+
+// Compile returns the Impl that evaluates res in format f the way libm and
+// rlibm-serve do: eval.Compile(res, f, m) for every rounding mode, each
+// serving from the level res.ServingLevel picks. Its Bits answers queries
+// in f only. The error wraps eval.ErrTooWide when f is wider than res's
+// largest level. The kernels snapshot res: recompile after changing it.
+func Compile(res *gen.Result, f fp.Format) (Impl, error) {
+	return compileModes(fp.AllModes, func(m fp.Mode) (*eval.Kernel, error) {
+		return eval.Compile(res, f, m)
+	})
 }
 
 // Report summarizes one exhaustive check.
@@ -56,6 +93,20 @@ func (r Report) String() string {
 // accumulate gigabytes.
 const maxRecorded = 1 << 16
 
+// roProxy returns the oracle's round-to-odd answer for x in ext, a format
+// two bits wider than the checked one. Rounding it into the checked format
+// under any standard mode gives the correctly rounded result: RLIBM-ALL's
+// round-to-odd property (property-tested in fp).
+func roProxy(orc *oracle.Oracle, ext fp.Format, x float64) float64 {
+	return ext.Decode(orc.Result(x, ext, fp.RoundToOdd))
+}
+
+// Want returns the correctly rounded result of the oracle's function at x
+// in f under mode: the answer every check compares against.
+func Want(orc *oracle.Oracle, x float64, f fp.Format, mode fp.Mode) uint64 {
+	return f.FromFloat64(roProxy(orc, f.Extend(2), x), mode)
+}
+
 // check evaluates one input bit pattern against the oracle's round-to-odd
 // proxy under every requested mode, recording mismatches into reports.
 type check struct {
@@ -77,7 +128,7 @@ func newCheck(f fp.Format, modes []fp.Mode, orc *oracle.Oracle, got func(float64
 
 func (c *check) input(b uint64) {
 	x := c.f.Decode(b)
-	roVal := c.ext.Decode(c.orc.Result(x, c.ext, fp.RoundToOdd))
+	roVal := roProxy(c.orc, c.ext, x)
 	for i, m := range c.modes {
 		want := c.f.FromFloat64(roVal, m)
 		got := c.got(x, m)
@@ -216,23 +267,6 @@ func Sampled(impl Impl, orc *oracle.Oracle, f fp.Format, modes []fp.Mode, n int,
 		func(x float64, m fp.Mode) uint64 { return impl.Bits(x, f, m) })
 }
 
-// genImpl adapts a generated Result to Impl, serving each query from the
-// level that owns the queried format.
-type genImpl struct {
-	res *gen.Result
-}
-
-// NewGenImpl wraps a generated result as an Impl.
-func NewGenImpl(res *gen.Result) Impl { return genImpl{res: res} }
-
-func (g genImpl) Bits(x float64, out fp.Format, mode fp.Mode) uint64 {
-	li, ok := g.res.ServingLevel(out, mode)
-	if !ok {
-		li = len(g.res.Levels) - 1
-	}
-	return g.res.Eval(x, li, out, mode)
-}
-
 // repairBudget bounds how many mismatched inputs Repair may patch per
 // level before declaring the implementation broken.
 const repairBudget = 64
@@ -255,7 +289,7 @@ type LevelSweep func(li, pass int, modes []fp.Mode) ([]Report, error)
 // independent.
 func Repair(res *gen.Result, orc *oracle.Oracle, workers int) (int, error) {
 	return RepairWith(res, orc, func(li, _ int, modes []fp.Mode) ([]Report, error) {
-		return ExhaustiveLevel(res, orc, li, modes, workers), nil
+		return ExhaustiveLevel(res, orc, li, modes, workers)
 	})
 }
 
@@ -281,8 +315,7 @@ func RepairWith(res *gen.Result, orc *oracle.Oracle, sweep LevelSweep) (int, err
 				total += len(rep.Mismatches)
 				for _, b := range rep.Mismatches {
 					x := lvl.Decode(b)
-					proxy := ext.Decode(orc.Result(x, ext, fp.RoundToOdd))
-					res.AddSpecial(li, x, proxy)
+					res.AddSpecial(li, x, roProxy(orc, ext, x))
 					patched++
 				}
 			}
@@ -299,9 +332,9 @@ func RepairWith(res *gen.Result, orc *oracle.Oracle, sweep LevelSweep) (int, err
 }
 
 // ExhaustiveLevel verifies one level of a generated result: every input of
-// the level's format, evaluated with that level's term counts, sharded
-// over up to workers goroutines.
-func ExhaustiveLevel(res *gen.Result, orc *oracle.Oracle, li int, modes []fp.Mode, workers int) []Report {
+// the level's format, evaluated through kernels compiled at that level's
+// term counts and special table, sharded over up to workers goroutines.
+func ExhaustiveLevel(res *gen.Result, orc *oracle.Oracle, li int, modes []fp.Mode, workers int) ([]Report, error) {
 	lvl := res.Levels[li]
 	return ExhaustiveLevelRange(res, orc, li, modes, workers, 0, lvl.NumValues())
 }
@@ -311,9 +344,17 @@ func ExhaustiveLevel(res *gen.Result, orc *oracle.Oracle, li int, modes []fp.Mod
 // a full level sweep is the shard-order concatenation of its slice sweeps,
 // so per-slice reports merged in ascending slice order are bit-identical
 // to ExhaustiveLevel's (the same merge the worker pool already performs
-// within one process).
-func ExhaustiveLevelRange(res *gen.Result, orc *oracle.Oracle, li int, modes []fp.Mode, workers int, lo, hi uint64) []Report {
+// within one process). The kernels (eval.CompileAt) are compiled on every
+// call, so a sweep always sees the result's current specials and
+// coefficients — RepairWith patches specials between passes.
+func ExhaustiveLevelRange(res *gen.Result, orc *oracle.Oracle, li int, modes []fp.Mode, workers int, lo, hi uint64) ([]Report, error) {
 	lvl := res.Levels[li]
+	k, err := compileModes(modes, func(m fp.Mode) (*eval.Kernel, error) {
+		return eval.CompileAt(res, li, lvl, m)
+	})
+	if err != nil {
+		return nil, err
+	}
 	if hi > lvl.NumValues() {
 		hi = lvl.NumValues()
 	}
@@ -322,5 +363,5 @@ func ExhaustiveLevelRange(res *gen.Result, orc *oracle.Oracle, li int, modes []f
 	}
 	return sweep(lvl, modes, orc, workers, hi-lo,
 		func(i uint64) uint64 { return lo + i },
-		func(x float64, m fp.Mode) uint64 { return res.Eval(x, li, lvl, m) })
+		func(x float64, m fp.Mode) uint64 { return k.Bits(x, lvl, m) }), nil
 }

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/bigmath"
+	"repro/internal/eval"
 	"repro/internal/fp"
 	"repro/internal/gen"
 	"repro/internal/oracle"
@@ -33,13 +34,16 @@ func TestExhaustiveCleanImplementation(t *testing.T) {
 	if _, err := Repair(res, orc, 0); err != nil {
 		t.Fatal(err)
 	}
-	impl := NewGenImpl(res)
 	for _, f := range []fp.Format{fp.MustFormat(11, 8), fp.MustFormat(13, 8)} {
 		var modes []fp.Mode
 		if f.Bits() == 13 {
 			modes = fp.StandardModes
 		} else {
 			modes = []fp.Mode{fp.RoundNearestEven}
+		}
+		impl, err := Compile(res, f)
+		if err != nil {
+			t.Fatal(err)
 		}
 		for _, rep := range Exhaustive(impl, orc, f, modes, 0) {
 			if !rep.Correct() {
@@ -66,9 +70,8 @@ func TestDetectAndRepairCorruption(t *testing.T) {
 	k := &res.Kernels[0]
 	old := k.Pieces[0].Coeffs[0]
 	k.Pieces[0].Coeffs[0] = old * (1 + 1e-3)
-	impl := NewGenImpl(res)
 	bad := 0
-	for _, rep := range ExhaustiveLevel(res, orc, 1, []fp.Mode{fp.RoundNearestEven}, 0) {
+	for _, rep := range exhaustiveLevel(t, res, orc, 1, []fp.Mode{fp.RoundNearestEven}) {
 		bad += len(rep.Mismatches)
 	}
 	if bad == 0 {
@@ -78,7 +81,6 @@ func TestDetectAndRepairCorruption(t *testing.T) {
 		t.Fatal("heavy corruption unexpectedly repairable within budget")
 	}
 	k.Pieces[0].Coeffs[0] = old
-	_ = impl
 
 	// Light corruption: drop one special entry (if any); Repair restores it.
 	for li := range res.Specials {
@@ -95,7 +97,7 @@ func TestDetectAndRepairCorruption(t *testing.T) {
 		if li == 1 {
 			modes = fp.StandardModes
 		}
-		for _, rep := range ExhaustiveLevel(res, orc, li, modes, 0) {
+		for _, rep := range exhaustiveLevel(t, res, orc, li, modes) {
 			if !rep.Correct() {
 				t.Errorf("after repair: %v", rep)
 			}
@@ -110,8 +112,11 @@ func TestSampledFindsCorpusMismatch(t *testing.T) {
 	if _, err := Repair(res, orc, 0); err != nil {
 		t.Fatal(err)
 	}
-	impl := NewGenImpl(res)
 	f := fp.MustFormat(13, 8)
+	impl, err := Compile(res, f)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, rep := range Sampled(impl, orc, f, fp.StandardModes, 2000, 9, 0) {
 		if !rep.Correct() {
 			t.Errorf("%v", rep)
@@ -122,6 +127,118 @@ func TestSampledFindsCorpusMismatch(t *testing.T) {
 	if brokenReports[0].Correct() {
 		t.Error("broken implementation passed sampling")
 	}
+}
+
+// exhaustiveLevel is ExhaustiveLevel on every CPU, failing the test on a
+// compile error.
+func exhaustiveLevel(t *testing.T, res *gen.Result, orc *oracle.Oracle, li int, modes []fp.Mode) []Report {
+	t.Helper()
+	reps, err := ExhaustiveLevel(res, orc, li, modes, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return reps
+}
+
+// A format wider than the generated levels has no kernel: Compile must say
+// so with eval.ErrTooWide rather than evaluate the largest level on inputs
+// that are not values of its format.
+func TestCompileTooWide(t *testing.T) {
+	res := smallResult(t, bigmath.Exp2)
+	if _, err := Compile(res, fp.MustFormat(13, 8)); err != nil {
+		t.Fatalf("largest level: %v", err)
+	}
+	for _, f := range []fp.Format{fp.MustFormat(14, 8), fp.MustFormat(25, 8)} {
+		if _, err := Compile(res, f); !errors.Is(err, eval.ErrTooWide) {
+			t.Errorf("Compile(%v) = %v, want eval.ErrTooWide", f, err)
+		}
+	}
+}
+
+// refLevel is the Impl of the reference evaluator gen.Result.Eval at one
+// level: the specification the kernels are compiled from.
+type refLevel struct {
+	res *gen.Result
+	li  int
+}
+
+func (r refLevel) Bits(x float64, out fp.Format, mode fp.Mode) uint64 {
+	return r.res.Eval(x, r.li, out, mode)
+}
+
+// Repairing through the kernels (Repair's default sweep) must patch exactly
+// what repairing through the reference evaluator patches, pass by pass, for
+// a progressive and a ProgressiveRO result. The results start with special
+// tables that are empty but for three wrong entries, so that both repairs
+// have inputs to patch.
+func TestKernelRepairMatchesReference(t *testing.T) {
+	for _, ro := range []bool{false, true} {
+		fn := bigmath.Exp
+		opt := gen.Options{
+			Levels:        []fp.Format{fp.MustFormat(11, 8), fp.MustFormat(13, 8)},
+			ProgressiveRO: ro,
+			Seed:          5,
+		}
+		res, err := gen.Generate(fn, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for li := range res.Specials {
+			res.Specials[li] = nil
+			for _, x := range []float64{0.75, 1.5, -3} {
+				res.AddSpecial(li, x, 1e30)
+			}
+		}
+		orc := oracle.New(fn)
+		repair := func(reference bool) (*gen.Result, int, [][]Report) {
+			r := decodeCopy(t, res)
+			var sweeps [][]Report
+			n, err := RepairWith(r, orc, func(li, _ int, modes []fp.Mode) ([]Report, error) {
+				var reps []Report
+				if reference {
+					reps = Exhaustive(refLevel{r, li}, orc, r.Levels[li], modes, 0)
+				} else {
+					reps = exhaustiveLevel(t, r, orc, li, modes)
+				}
+				sweeps = append(sweeps, reps)
+				return reps, nil
+			})
+			if err != nil {
+				t.Fatalf("ro=%v reference=%v: %v", ro, reference, err)
+			}
+			return r, n, sweeps
+		}
+		refRes, refN, refSweeps := repair(true)
+		kerRes, kerN, kerSweeps := repair(false)
+		if refN == 0 {
+			t.Fatalf("ro=%v: nothing to patch; the comparison is vacuous", ro)
+		}
+		if kerN != refN {
+			t.Errorf("ro=%v: kernel repair patched %d, reference %d", ro, kerN, refN)
+		}
+		if !reflect.DeepEqual(kerSweeps, refSweeps) {
+			t.Errorf("ro=%v: kernel sweep reports differ from the reference's", ro)
+		}
+		if !bytes.Equal(encode(kerRes), encode(refRes)) {
+			t.Errorf("ro=%v: kernel-repaired result differs from the reference-repaired one", ro)
+		}
+	}
+}
+
+func encode(res *gen.Result) []byte {
+	var e pipeline.Enc
+	gen.ResultCodec.Encode(&e, res)
+	return e.Bytes()
+}
+
+// decodeCopy deep-copies res through its codec.
+func decodeCopy(t *testing.T, res *gen.Result) *gen.Result {
+	t.Helper()
+	r, err := gen.ResultCodec.Decode(pipeline.NewDec(encode(res)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r
 }
 
 type brokenImpl struct{}

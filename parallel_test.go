@@ -84,8 +84,14 @@ func TestParallelDeterminism(t *testing.T) {
 	// both must be correct.
 	orc := oracle.New(fn)
 	for li, modes := range [][]fp.Mode{{fp.RoundNearestEven}, fp.StandardModes} {
-		rs := verify.ExhaustiveLevel(serial, orc, li, modes, 1)
-		rp := verify.ExhaustiveLevel(parallel, orc, li, modes, 8)
+		rs, err := verify.ExhaustiveLevel(serial, orc, li, modes, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rp, err := verify.ExhaustiveLevel(parallel, orc, li, modes, 8)
+		if err != nil {
+			t.Fatal(err)
+		}
 		for i := range rs {
 			if !rs[i].Correct() {
 				t.Errorf("serial: %v", rs[i])
@@ -138,7 +144,11 @@ func TestParallelRaceSmoke(t *testing.T) {
 		if _, err := verify.Repair(res, orc, 4); err != nil {
 			t.Fatalf("%v repair: %v", fn, err)
 		}
-		for _, rep := range verify.Exhaustive(verify.NewGenImpl(res), orc, levels[0], fp.StandardModes, 4) {
+		impl, err := verify.Compile(res, levels[0])
+		if err != nil {
+			t.Fatalf("%v: %v", fn, err)
+		}
+		for _, rep := range verify.Exhaustive(impl, orc, levels[0], fp.StandardModes, 4) {
 			if !rep.Correct() {
 				t.Errorf("%v: %v", fn, rep)
 			}
