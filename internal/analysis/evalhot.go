@@ -11,9 +11,9 @@ import (
 //
 //	//evalhot:loop
 //
-// line in their doc comment — the kernel loop of internal/eval and the
-// helpers it inlines (the flattened polynomial, the special classifier,
-// the lowered reduction, the precompiled rounder) all carry the marker.
+// line in their doc comment — the per-family kernel loops of internal/eval
+// and the helpers they inline (the flattened polynomial, the special
+// classifier, the precompiled rounder) all carry the marker.
 // Inside a marked function the analyzer forbids everything the batch
 // contract hoists to Compile time:
 //

@@ -3,11 +3,14 @@
 // evaluator. Compile does every per-(function, format, mode) decision once
 // — serving-level resolution, truncated term counts, piece boundaries and
 // coefficient prefixes snapshotted into flat contiguous arrays, the
-// range-reduction scheme devirtualized (reduction.Lowered), the rounding
-// constants precomputed (fp.Rounder), and the special-input table rebuilt
-// as an open-addressed bit-pattern hash — so Kernel.EvalBatch amortizes all
-// of it over slices with zero allocations, zero interface calls and no
-// binary search in the loop.
+// concrete range-reduction scheme with its per-function constants resolved,
+// the rounding constants precomputed (fp.Rounder), and the special-input
+// table rebuilt as an open-addressed bit-pattern hash — so Kernel.EvalBatch
+// amortizes all of it over slices with zero allocations, zero interface
+// calls and no binary search in the loop. EvalBatch picks the reduction
+// family once per batch and runs one of four loops (log, exp, sinh/cosh,
+// sinpi/cospi), each calling its concrete scheme's methods directly and
+// evaluating exactly the family's one or two polynomials.
 //
 // Correctness contract: for every input x of the compiled level's format,
 // EvalBatch produces exactly the bits gen.Result.Eval produces — the
@@ -154,18 +157,31 @@ func (t *specialTable) lookup(bits uint64) (float64, bool) {
 	}
 }
 
+// family selects the batch loop of a kernel's range-reduction scheme.
+type family uint8
+
+const (
+	familyLog family = iota
+	familyExp
+	familySinhCosh
+	familySinCosPi
+)
+
 // Kernel is one compiled (function, level, output format, rounding mode)
 // evaluator. A Kernel is immutable after Compile and safe for concurrent
 // EvalBatch calls; attach an observability span with Observe before sharing
-// it across goroutines.
+// it across goroutines. Only the scheme field of the kernel's family is set.
 type Kernel struct {
 	fn        bigmath.Func
 	out       fp.Format
 	mode      fp.Mode
 	level     int
 	truncated bool
-	numPolys  int
-	red       reduction.Lowered
+	family    family
+	log       reduction.LogScheme
+	exp       reduction.ExpScheme
+	sinh      reduction.SinhCoshScheme
+	trig      reduction.SinCosPiScheme
 	rnd       fp.Rounder
 	polys     [2]flatPoly
 	specials  specialTable
@@ -203,8 +219,9 @@ func CompileAt(res *gen.Result, li int, out fp.Format, mode fp.Mode) (*Kernel, e
 	if li < 0 || li >= len(res.Levels) {
 		return nil, fmt.Errorf("eval: level %d out of range [0,%d)", li, len(res.Levels))
 	}
-	if n := len(res.Kernels); n < 1 || n > 2 {
-		return nil, fmt.Errorf("eval: %d kernel polynomials (want 1 or 2)", len(res.Kernels))
+	scheme := reduction.ForFunc(res.Fn)
+	if n := len(res.Kernels); n != scheme.NumPolys() {
+		return nil, fmt.Errorf("eval: %v: %d kernel polynomials (want %d)", res.Fn, n, scheme.NumPolys())
 	}
 	k := &Kernel{
 		fn:        res.Fn,
@@ -212,9 +229,19 @@ func CompileAt(res *gen.Result, li int, out fp.Format, mode fp.Mode) (*Kernel, e
 		mode:      mode,
 		level:     li,
 		truncated: li < len(res.Levels)-1,
-		numPolys:  len(res.Kernels),
-		red:       reduction.Lower(res.Fn),
 		rnd:       fp.NewRounder(out, mode),
+	}
+	switch s := scheme.(type) {
+	case reduction.LogScheme:
+		k.family, k.log = familyLog, s
+	case reduction.ExpScheme:
+		k.family, k.exp = familyExp, s
+	case reduction.SinhCoshScheme:
+		k.family, k.sinh = familySinhCosh, s
+	case reduction.SinCosPiScheme:
+		k.family, k.trig = familySinCosPi, s
+	default:
+		return nil, fmt.Errorf("eval: %v: no batch loop for scheme %T", res.Fn, s)
 	}
 	for pi := range res.Kernels {
 		flat, err := flatten(&res.Kernels[pi], li)
@@ -317,17 +344,42 @@ func (k *Kernel) Eval(x float64) uint64 {
 	return dst[0]
 }
 
-// evalLoop is the batch hot loop. The evalhot analyzer of rlibm-lint
-// enforces its restrictions statically: no allocating expressions, no
-// interface method calls, no sort.Search, no big.Float. Counters are
-// tallied into locals and recorded by the caller after the loop.
+// evalLoop runs the batch loop of the kernel's reduction family: the
+// family is switched on once per batch, never per input.
 //
 //evalhot:loop
 func (k *Kernel) evalLoop(dst []uint64, src []float64) (specials, polys int64) {
+	switch k.family {
+	case familyLog:
+		return k.logLoop(dst, src)
+	case familyExp:
+		return k.expLoop(dst, src)
+	case familySinhCosh:
+		return k.sinhCoshLoop(dst, src)
+	default:
+		return k.sinCosPiLoop(dst, src)
+	}
+}
+
+// The four family loops below are the batch hot loops. Each calls its
+// concrete scheme's Reduce, Special and Compensate directly (Compensate
+// inlines) and evaluates the family's one or two polynomials. They are
+// written out rather than shared through a generic loop: Go instantiates
+// generics per GC shape, so a generic loop would call the scheme methods
+// through a dictionary instead of directly. The evalhot analyzer of rlibm-lint enforces their
+// restrictions statically: no allocating expressions, no interface method
+// calls, no sort.Search, no big.Float. Counters are tallied into locals
+// and recorded by EvalBatch after the loop.
+
+// logLoop is the batch loop of ln, log2 and log10.
+//
+//evalhot:loop
+func (k *Kernel) logLoop(dst []uint64, src []float64) (specials, polys int64) {
+	s, p := k.log, &k.polys[0]
 	for i, x := range src {
-		ctx, regular := k.red.Reduce(x)
+		ctx, regular := s.Reduce(x)
 		if !regular {
-			dst[i] = k.rnd.Round(k.red.Special(x))
+			dst[i] = k.rnd.Round(s.Special(x))
 			specials++
 			continue
 		}
@@ -336,12 +388,76 @@ func (k *Kernel) evalLoop(dst []uint64, src []float64) (specials, polys int64) {
 			specials++
 			continue
 		}
-		y0 := k.polys[0].eval(ctx.R)
-		var y1 float64
-		if k.numPolys > 1 {
-			y1 = k.polys[1].eval(ctx.R)
+		dst[i] = k.rnd.Round(s.Compensate(ctx, p.eval(ctx.R), 0))
+		polys++
+	}
+	return specials, polys
+}
+
+// expLoop is the batch loop of exp, exp2 and exp10.
+//
+//evalhot:loop
+func (k *Kernel) expLoop(dst []uint64, src []float64) (specials, polys int64) {
+	s, p := k.exp, &k.polys[0]
+	for i, x := range src {
+		ctx, regular := s.Reduce(x)
+		if !regular {
+			dst[i] = k.rnd.Round(s.Special(x))
+			specials++
+			continue
 		}
-		dst[i] = k.rnd.Round(k.red.Compensate(ctx, y0, y1))
+		if proxy, ok := k.specials.lookup(math.Float64bits(x)); ok {
+			dst[i] = k.rnd.Round(proxy)
+			specials++
+			continue
+		}
+		dst[i] = k.rnd.Round(s.Compensate(ctx, p.eval(ctx.R), 0))
+		polys++
+	}
+	return specials, polys
+}
+
+// sinhCoshLoop is the batch loop of sinh and cosh.
+//
+//evalhot:loop
+func (k *Kernel) sinhCoshLoop(dst []uint64, src []float64) (specials, polys int64) {
+	s, p0, p1 := k.sinh, &k.polys[0], &k.polys[1]
+	for i, x := range src {
+		ctx, regular := s.Reduce(x)
+		if !regular {
+			dst[i] = k.rnd.Round(s.Special(x))
+			specials++
+			continue
+		}
+		if proxy, ok := k.specials.lookup(math.Float64bits(x)); ok {
+			dst[i] = k.rnd.Round(proxy)
+			specials++
+			continue
+		}
+		dst[i] = k.rnd.Round(s.Compensate(ctx, p0.eval(ctx.R), p1.eval(ctx.R)))
+		polys++
+	}
+	return specials, polys
+}
+
+// sinCosPiLoop is the batch loop of sinpi and cospi.
+//
+//evalhot:loop
+func (k *Kernel) sinCosPiLoop(dst []uint64, src []float64) (specials, polys int64) {
+	s, p0, p1 := k.trig, &k.polys[0], &k.polys[1]
+	for i, x := range src {
+		ctx, regular := s.Reduce(x)
+		if !regular {
+			dst[i] = k.rnd.Round(s.Special(x))
+			specials++
+			continue
+		}
+		if proxy, ok := k.specials.lookup(math.Float64bits(x)); ok {
+			dst[i] = k.rnd.Round(proxy)
+			specials++
+			continue
+		}
+		dst[i] = k.rnd.Round(s.Compensate(ctx, p0.eval(ctx.R), p1.eval(ctx.R)))
 		polys++
 	}
 	return specials, polys

@@ -176,13 +176,75 @@ func TestEvalBatchSpecialTable(t *testing.T) {
 
 // TestEvalBatchZeroAllocs pins the performance contract's allocation half:
 // a compiled kernel's EvalBatch allocates nothing, including on batches
-// that hit special paths.
+// that hit special paths, in the batch loop of every reduction family.
 func TestEvalBatchZeroAllocs(t *testing.T) {
-	_, k, _ := compileFor(t, bigmath.Exp2, fp.Bfloat16, fp.RoundNearestEven)
-	src := []float64{0.5, -1.25, 3, 200, -200, 0, math.NaN(), math.Inf(1), 1e-12, 0.7265625}
+	src := []float64{0.5, -1.25, 3, 200, -200, 0, math.NaN(), math.Inf(1), math.Inf(-1),
+		1e-12, 0.7265625, 1, 1.5, 0x1p-17}
 	dst := make([]uint64, len(src))
-	if n := testing.AllocsPerRun(200, func() { k.EvalBatch(dst, src) }); n != 0 {
-		t.Fatalf("EvalBatch allocates %v times per run", n)
+	for _, fn := range []bigmath.Func{bigmath.Log2, bigmath.Exp2, bigmath.Sinh, bigmath.CosPi} {
+		_, k, _ := compileFor(t, fn, fp.Bfloat16, fp.RoundNearestEven)
+		if n := testing.AllocsPerRun(200, func() { k.EvalBatch(dst, src) }); n != 0 {
+			t.Fatalf("%v: EvalBatch allocates %v times per run", fn, n)
+		}
+	}
+}
+
+// familyBoundaries lists the inputs at which a range reduction changes
+// path: the exp/exp2/exp10 overflow and underflow cutoffs (90.5/−109.5,
+// 130/−157, 39.5/−47.5), expTinyCut (2^-31), sinhTinyCut (2^-18),
+// sinhOverflowCut (91), trigAnchorCut (2^-17) around the anchors i=0
+// (w = 0) and i=32 (w = ½), inputs with 2x integral, and 1 (log's x==1).
+func familyBoundaries() []float64 {
+	vs := []float64{90.5, -109.5, 130, -157, 39.5, -47.5, 0x1p-31, 0x1p-18, 91}
+	for _, anchor := range []float64{0, 0.5, 1, 1.5, 2, 2.5} {
+		vs = append(vs, anchor, anchor+0x1p-17, anchor-0x1p-17)
+	}
+	return append(vs, 3, 0x1p20, 0x1p20+0.5)
+}
+
+// TestEvalBatchFamilyBoundaries pins every family loop's path switches on
+// the largest generated format, under all five standard modes: at each
+// reduction cutoff (both signs), the two encodings on either side of it,
+// and the format's edge patterns (±0, ±∞, NaN, the smallest subnormal and
+// the largest finite value), the kernel must equal gen.Result.Eval.
+func TestEvalBatchFamilyBoundaries(t *testing.T) {
+	out, ok := libm.LargestFormat()
+	if !ok {
+		t.Skip("generated tables missing; run cmd/rlibm-gen -emit internal/libm")
+	}
+	bits := []uint64{
+		0, out.Zero(true), out.MinSubnormal(), out.Zero(true) | out.MinSubnormal(),
+		out.MaxFinite(), out.Zero(true) | out.MaxFinite(),
+		out.Inf(false), out.Inf(true), out.NaN(),
+	}
+	for _, c := range familyBoundaries() {
+		for _, v := range []float64{c, -c} {
+			b := out.FromFloat64(v, fp.RoundTowardZero)
+			sign := b & out.Zero(true)
+			for d := -2; d <= 2; d++ {
+				mag := int64(b&^sign) + int64(d)
+				if mag >= 0 && uint64(mag) <= out.MaxFinite() {
+					bits = append(bits, sign|uint64(mag))
+				}
+			}
+		}
+	}
+	src := make([]float64, len(bits))
+	for i, b := range bits {
+		src[i] = out.Decode(b)
+	}
+	dst := make([]uint64, len(src))
+	for _, fn := range bigmath.AllFuncs {
+		for _, mode := range fp.StandardModes {
+			res, k, li := compileFor(t, fn, out, mode)
+			k.EvalBatch(dst, src)
+			for i, x := range src {
+				if want := res.Eval(x, li, out, mode); dst[i] != want {
+					t.Fatalf("%v/%v/%v: input bits %#x (%x): batch %#x, reference %#x",
+						fn, out, mode, bits[i], x, dst[i], want)
+				}
+			}
+		}
 	}
 }
 

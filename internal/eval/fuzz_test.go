@@ -25,8 +25,9 @@ type fuzzCell struct {
 // format and a standard rounding mode, the compiled kernel (the product)
 // returns exactly the bits of gen.Result.Eval (the specification) at the
 // kernel's serving level, over the committed tables. Seeds under
-// testdata/fuzz/FuzzKernel pin the edge patterns: zeros, the smallest
-// subnormal, the largest finite value, infinities and NaN.
+// testdata/fuzz/FuzzKernel pin the edge patterns (zeros, the smallest
+// subnormal, the largest finite value, infinities and NaN) and F(22,8)
+// inputs at or next to the range reductions' cutoffs.
 func FuzzKernel(f *testing.F) {
 	f.Add(uint8(0), uint8(0), uint64(0), uint8(0))
 	f.Add(uint8(3), uint8(6), uint64(0x3f80), uint8(1))    // exp2(1) in bfloat16

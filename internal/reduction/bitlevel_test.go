@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/bigmath"
 	"repro/internal/fp"
 )
 
@@ -82,6 +83,45 @@ func TestBitLevelMatchesLibrary(t *testing.T) {
 				if got, want := scale(x, e), math.Ldexp(x, e); !sameFloat(got, want) {
 					t.Fatalf("scale(%x, %d) = %x, Ldexp = %x", x, e, got, want)
 				}
+			}
+		}
+	}
+}
+
+// TestSinCosPiExactMatchesBigmath pins the float64 exact values of the
+// sinpi/cospi special path to bigmath.ExactValue, bit for bit (sign of zero
+// included), on every multiple of ½ in [-64, 64], on both signs of every
+// power of two up to 2^1023 and of the odd integers and half-integers next
+// to the large ones, and on every 2x-integral value of F(22,8).
+func TestSinCosPiExactMatchesBigmath(t *testing.T) {
+	var xs []float64
+	for k := -128; k <= 128; k++ {
+		xs = append(xs, float64(k)/2)
+	}
+	xs = append(xs, math.Copysign(0, -1), math.MaxFloat64, -math.MaxFloat64)
+	for e := 0; e <= 1023; e++ {
+		p := math.Ldexp(1, e)
+		for _, v := range []float64{p, p + 0.5, p + 1, p - 0.5, p + 2} {
+			xs = append(xs, v, -v)
+		}
+	}
+	f := fp.MustFormat(22, 8)
+	for b := uint64(0); b < f.NumValues(); b++ {
+		xs = append(xs, f.Decode(b))
+	}
+	for _, fn := range []bigmath.Func{bigmath.SinPi, bigmath.CosPi} {
+		s := SinCosPiScheme{fn: fn}
+		for _, x := range xs {
+			v, ok := bigmath.ExactValue(fn, x)
+			if !ok {
+				continue
+			}
+			want, _ := v.Float64()
+			if v.Signbit() {
+				want = math.Copysign(want, -1)
+			}
+			if got := s.Special(x); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("%v(%x): special %x, ExactValue %x", fn, x, got, want)
 			}
 		}
 	}

@@ -7,7 +7,7 @@ import (
 	"repro/internal/poly"
 )
 
-// expScheme implements exp, exp2 and exp10.
+// ExpScheme implements exp, exp2 and exp10.
 //
 // Reduction: with c = ln2/64 (resp. 1/64, log10(2)/64), N = round(x/c) and
 // r = x - N·c computed with a hi/lo split of c, so |r| ≤ c/2 ≈ 0.0054..0.0078.
@@ -21,17 +21,38 @@ import (
 // inputs whose results are certainly below 2^-157 take the
 // SmallestNonzeroFloat64 underflow proxy. Both proxies round identically to
 // the true result in every format and mode.
-type expScheme struct {
-	fn bigmath.Func
+//
+// The constructor resolves the per-function constants once: 1/c, the hi/lo
+// split of c and the two cutoffs. exp2's split is (1/64, 0), and
+// (x - n·(1/64)) - n·0 equals the exact x - n/64 bit for bit, sign of zero
+// included: n·(1/64) = n/64 exactly, and subtracting ±0 from a nonzero
+// difference changes nothing while x - x is +0 either way.
+type ExpScheme struct {
+	fn           bigmath.Func
+	invC         float64 // 1/c: 64/ln2, 64 or 64·log2(10)
+	cHi, cLo     float64 // c ≈ cHi + cLo, cHi short enough that n·cHi is exact
+	hiCut, loCut float64 // x ≥ hiCut overflows every target, x ≤ loCut underflows below minSubnormal/4
 }
 
-func (s expScheme) Func() bigmath.Func { return s.fn }
+// newExpScheme returns the scheme of exp, exp2 or exp10.
+func newExpScheme(f bigmath.Func) ExpScheme {
+	switch f {
+	case bigmath.Exp:
+		return ExpScheme{fn: f, invC: invLn2Times64, cHi: ln2Over64Hi, cLo: ln2Over64Lo, hiCut: 90.5, loCut: -109.5}
+	case bigmath.Exp2:
+		return ExpScheme{fn: f, invC: 64, cHi: 1.0 / 64, cLo: 0, hiCut: 130, loCut: -157}
+	default: // Exp10
+		return ExpScheme{fn: f, invC: invLg2Times64, cHi: lg2Over64Hi, cLo: lg2Over64Lo, hiCut: 39.5, loCut: -47.5}
+	}
+}
 
-func (s expScheme) NumPolys() int { return 1 }
+func (s ExpScheme) Func() bigmath.Func { return s.fn }
 
-func (s expScheme) Structure(int) poly.Structure { return poly.Dense }
+func (s ExpScheme) NumPolys() int { return 1 }
 
-func (s expScheme) ReducedDomain() (lo, hi float64) {
+func (s ExpScheme) Structure(int) poly.Structure { return poly.Dense }
+
+func (s ExpScheme) ReducedDomain() (lo, hi float64) {
 	switch s.fn {
 	case bigmath.Exp:
 		c := ln2Double / 64
@@ -44,19 +65,6 @@ func (s expScheme) ReducedDomain() (lo, hi float64) {
 	}
 }
 
-// cutoffs returns (hi, lo): x ≥ hi overflows every target, x ≤ lo
-// underflows below minSubnormal/4 of every target.
-func (s expScheme) cutoffs() (float64, float64) {
-	switch s.fn {
-	case bigmath.Exp:
-		return 90.5, -109.5
-	case bigmath.Exp2:
-		return 130, -157
-	default: // Exp10
-		return 39.5, -47.5
-	}
-}
-
 // expTinyCut: for |x| below it, exp(cx) sits strictly between 1 and the
 // adjacent value of every target (mantissa ≤ 27 bits, |c·x| < 2^-29.6), so
 // the polynomial path — whose double output would collapse to exactly 1 —
@@ -65,36 +73,24 @@ func (s expScheme) cutoffs() (float64, float64) {
 // RLibm/LLVM-libc implementations.
 const expTinyCut = 1.0 / (1 << 31)
 
-func (s expScheme) Reduce(x float64) (Ctx, bool) {
+func (s ExpScheme) Reduce(x float64) (Ctx, bool) {
 	if math.IsNaN(x) || math.IsInf(x, 0) {
 		return Ctx{}, false
 	}
 	if x == 0 || math.Abs(x) < expTinyCut {
 		return Ctx{}, false
 	}
-	hiCut, loCut := s.cutoffs()
-	if x >= hiCut || x <= loCut {
+	if x >= s.hiCut || x <= s.loCut {
 		return Ctx{}, false
 	}
-	var n float64
-	var r float64
-	switch s.fn {
-	case bigmath.Exp:
-		n = math.Round(x * invLn2Times64)
-		r = (x - n*ln2Over64Hi) - n*ln2Over64Lo
-	case bigmath.Exp2:
-		n = math.Round(x * 64)
-		r = x - n/64 // exact
-	default: // Exp10
-		n = math.Round(x * invLg2Times64)
-		r = (x - n*lg2Over64Hi) - n*lg2Over64Lo
-	}
+	n := math.Round(x * s.invC)
+	r := (x - n*s.cHi) - n*s.cLo // exact for exp2
 	ni := int(n)
 	q, j := ni>>6, ni&63
 	return Ctx{R: r, T: exp2J[j], E: q}, true
 }
 
-func (s expScheme) Compensate(ctx Ctx, y0, _ float64) float64 {
+func (s ExpScheme) Compensate(ctx Ctx, y0, _ float64) float64 {
 	return scale(y0*ctx.T, ctx.E)
 }
 
@@ -108,8 +104,12 @@ func scale(y float64, e int) float64 {
 	return math.Ldexp(y, e)
 }
 
-func (s expScheme) Special(x float64) float64 {
-	hiCut, loCut := s.cutoffs()
+// Special may be arbitrarily slow: the batch kernel reaches it only for
+// inputs Reduce rejected. The //evalhot:cold marker below records that
+// audit, so the hot-loop walk stops here.
+//
+//evalhot:cold
+func (s ExpScheme) Special(x float64) float64 {
 	switch {
 	case math.IsNaN(x):
 		return math.NaN()
@@ -127,9 +127,9 @@ func (s expScheme) Special(x float64) float64 {
 			return math.Nextafter(1, 2)
 		}
 		return math.Nextafter(1, 0)
-	case x >= hiCut:
+	case x >= s.hiCut:
 		return math.MaxFloat64
-	case x <= loCut:
+	case x <= s.loCut:
 		return math.SmallestNonzeroFloat64
 	}
 	//lint:ignore barepanic Reduce classified the input as special; the case split above mirrors that classification exactly.

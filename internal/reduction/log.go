@@ -7,7 +7,7 @@ import (
 	"repro/internal/poly"
 )
 
-// logScheme implements ln, log2 and log10.
+// LogScheme implements ln, log2 and log10.
 //
 // Reduction: x = 2^e · m with m ∈ [1,2); j = ⌊(m-1)·128⌋ selects
 // F = 1 + j/128; the polynomial input is r = (m-F)·(1/F) — the subtraction
@@ -17,19 +17,37 @@ import (
 // Compensation: result = (e·log(2) + logF[j]) + y, with the first sum
 // precomputed into Ctx.T using the same float64 operations the library
 // performs. Strictly increasing in y.
-type logScheme struct {
-	fn bigmath.Func
+//
+// The constructor resolves log(2) and the log(F) table once. log2's
+// multiplier is 1, and float64(e)·1 is exact, so e·1 + log2F[j] is the sum
+// e + log2F[j] bit for bit.
+type LogScheme struct {
+	fn     bigmath.Func
+	logOf2 float64                     // log(2) in the function's base
+	logF   *[1 << logTableBits]float64 // log(1 + j/128) in the function's base
 }
 
-func (s logScheme) Func() bigmath.Func { return s.fn }
+// newLogScheme returns the scheme of ln, log2 or log10.
+func newLogScheme(f bigmath.Func) LogScheme {
+	switch f {
+	case bigmath.Log2:
+		return LogScheme{fn: f, logOf2: 1, logF: &log2F}
+	case bigmath.Log10:
+		return LogScheme{fn: f, logOf2: log102Double, logF: &log10F}
+	default: // Ln
+		return LogScheme{fn: f, logOf2: ln2Double, logF: &lnF}
+	}
+}
 
-func (s logScheme) NumPolys() int { return 1 }
+func (s LogScheme) Func() bigmath.Func { return s.fn }
 
-func (s logScheme) Structure(int) poly.Structure { return poly.Dense }
+func (s LogScheme) NumPolys() int { return 1 }
 
-func (s logScheme) ReducedDomain() (lo, hi float64) { return 0, 1.0 / 128 }
+func (s LogScheme) Structure(int) poly.Structure { return poly.Dense }
 
-func (s logScheme) Reduce(x float64) (Ctx, bool) {
+func (s LogScheme) ReducedDomain() (lo, hi float64) { return 0, 1.0 / 128 }
+
+func (s LogScheme) Reduce(x float64) (Ctx, bool) {
 	if math.IsNaN(x) || x <= 0 || math.IsInf(x, 1) || x == 1 {
 		return Ctx{}, false
 	}
@@ -37,16 +55,7 @@ func (s logScheme) Reduce(x float64) (Ctx, bool) {
 	j := int((m - 1) * 128) // floor; exact scaling by a power of two
 	F := 1 + float64(j)/128
 	r := (m - F) * recipF[j] // m-F exact (Sterbenz)
-	var t float64
-	switch s.fn {
-	case bigmath.Ln:
-		t = float64(e)*ln2Double + lnF[j]
-	case bigmath.Log2:
-		t = float64(e) + log2F[j]
-	case bigmath.Log10:
-		t = float64(e)*log102Double + log10F[j]
-	}
-	return Ctx{R: r, T: t}, true
+	return Ctx{R: r, T: float64(e)*s.logOf2 + s.logF[j]}, true
 }
 
 // logSplit returns m ∈ [1,2) and e with x = m·2^e, for finite x > 0, from
@@ -62,11 +71,16 @@ func logSplit(x float64) (m float64, e int) {
 	return math.Float64frombits(b&(1<<52-1) | 1023<<52), field - 1023
 }
 
-func (s logScheme) Compensate(ctx Ctx, y0, _ float64) float64 {
+func (s LogScheme) Compensate(ctx Ctx, y0, _ float64) float64 {
 	return ctx.T + y0
 }
 
-func (s logScheme) Special(x float64) float64 {
+// Special may be arbitrarily slow: the batch kernel reaches it only for
+// inputs Reduce rejected. The //evalhot:cold marker below records that
+// audit, so the hot-loop walk stops here.
+//
+//evalhot:cold
+func (s LogScheme) Special(x float64) float64 {
 	switch {
 	case math.IsNaN(x):
 		return math.NaN()

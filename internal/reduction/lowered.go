@@ -12,34 +12,34 @@ const (
 	loweredSinCosPi
 )
 
-// Lowered is a range-reduction scheme devirtualized for the batched
-// serving path (internal/eval): ForFunc's Scheme interface resolved once
-// into a concrete value whose Reduce/Compensate/Special dispatch through a
-// small tag switch over statically known scheme types. Every call is a
-// direct (inlinable) method call — no interface table lookup per input —
-// and the arithmetic is byte-for-byte the scheme's own, so Lowered and
-// Scheme are bit-identical by construction (pinned by
-// TestLoweredMatchesScheme).
+// Lowered is a range-reduction scheme behind a small tag switch over the
+// four concrete scheme types. It is kept for one caller alone: the layer
+// replay of the benchmark's eval-lib workload (bench/evallib.go), which
+// times Reduce, Compensate and Special as separate passes. The serving
+// kernel (internal/eval) calls the concrete schemes directly. Lowered is
+// deleted together with that replay (ROADMAP item 7). Its schemes are built
+// exactly as ForFunc builds them, so Lowered and Scheme are bit-identical by
+// construction (pinned by TestLoweredMatchesScheme).
 type Lowered struct {
 	kind     loweredKind
 	numPolys int
-	log      logScheme
-	exp      expScheme
-	sinh     sinhCoshScheme
-	trig     sinCosPiScheme
+	log      LogScheme
+	exp      ExpScheme
+	sinh     SinhCoshScheme
+	trig     SinCosPiScheme
 }
 
-// Lower returns the devirtualized scheme of f.
+// Lower returns the tag-switched scheme of f.
 func Lower(f bigmath.Func) Lowered {
 	switch f {
 	case bigmath.Ln, bigmath.Log2, bigmath.Log10:
-		return Lowered{kind: loweredLog, numPolys: 1, log: logScheme{fn: f}}
+		return Lowered{kind: loweredLog, numPolys: 1, log: newLogScheme(f)}
 	case bigmath.Exp, bigmath.Exp2, bigmath.Exp10:
-		return Lowered{kind: loweredExp, numPolys: 1, exp: expScheme{fn: f}}
+		return Lowered{kind: loweredExp, numPolys: 1, exp: newExpScheme(f)}
 	case bigmath.Sinh, bigmath.Cosh:
-		return Lowered{kind: loweredSinhCosh, numPolys: 2, sinh: sinhCoshScheme{fn: f}}
+		return Lowered{kind: loweredSinhCosh, numPolys: 2, sinh: SinhCoshScheme{fn: f}}
 	case bigmath.SinPi, bigmath.CosPi:
-		return Lowered{kind: loweredSinCosPi, numPolys: 2, trig: sinCosPiScheme{fn: f}}
+		return Lowered{kind: loweredSinCosPi, numPolys: 2, trig: SinCosPiScheme{fn: f}}
 	}
 	//lint:ignore barepanic exhaustive Func switch; a new function is a compile-time change.
 	panic("reduction: unknown function")
@@ -64,8 +64,6 @@ func (l *Lowered) NumPolys() int { return l.numPolys }
 
 // Reduce maps an input to its reduction state, or reports false when the
 // input must take the special path. Identical to Scheme.Reduce.
-//
-//evalhot:loop
 func (l *Lowered) Reduce(x float64) (Ctx, bool) {
 	switch l.kind {
 	case loweredLog:
@@ -81,8 +79,6 @@ func (l *Lowered) Reduce(x float64) (Ctx, bool) {
 
 // Compensate computes the final double result from the polynomial outputs.
 // Identical to Scheme.Compensate.
-//
-//evalhot:loop
 func (l *Lowered) Compensate(ctx Ctx, y0, y1 float64) float64 {
 	switch l.kind {
 	case loweredLog:
@@ -96,13 +92,8 @@ func (l *Lowered) Compensate(ctx Ctx, y0, y1 float64) float64 {
 	}
 }
 
-// Special returns the result for special-path inputs. It may be arbitrarily
-// slow (the sinpi/cospi family consults the exact-value table), which is
-// fine: the batch loop reaches it only for inputs Reduce rejected. The
-// //evalhot:cold marker below records that audit: the interprocedural
-// hot-loop walk stops here instead of flagging the exact-value machinery.
-//
-//evalhot:cold
+// Special returns the result for special-path inputs. Identical to
+// Scheme.Special.
 func (l *Lowered) Special(x float64) float64 {
 	switch l.kind {
 	case loweredLog:

@@ -22,9 +22,9 @@ func loweredCorpus(rng *rand.Rand) []float64 {
 	return vs
 }
 
-// TestLoweredMatchesScheme pins the devirtualization contract: for every
-// function, Lowered.{Func,NumPolys,Reduce,Compensate,Special} agree bit for
-// bit with the Scheme interface path on a mixed corpus.
+// TestLoweredMatchesScheme pins the tag-switched scheme to the Scheme
+// interface path: for every function, Lowered.{Func,NumPolys,Reduce,
+// Compensate,Special} agree bit for bit with it on a mixed corpus.
 func TestLoweredMatchesScheme(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	corpus := loweredCorpus(rng)
@@ -60,8 +60,9 @@ func TestLoweredMatchesScheme(t *testing.T) {
 	}
 }
 
-// TestLoweredZeroAllocs keeps the regular path of the devirtualized scheme
-// allocation-free: Reduce and Compensate feed the batch hot loop.
+// TestLoweredZeroAllocs keeps the regular path of the tag-switched scheme
+// allocation-free: the benchmark's layer replay times Reduce and
+// Compensate.
 func TestLoweredZeroAllocs(t *testing.T) {
 	for _, fn := range bigmath.AllFuncs {
 		l := Lower(fn)

@@ -67,17 +67,20 @@ type TwoPoly interface {
 	Affine(ctx Ctx) (sign, a, b float64)
 }
 
-// ForFunc returns the scheme implementing f.
+// ForFunc returns the scheme implementing f: a LogScheme, ExpScheme,
+// SinhCoshScheme or SinCosPiScheme value. The concrete types are exported so
+// the batch kernel (internal/eval) can call the same method bodies the
+// generator replays, directly instead of through the interface.
 func ForFunc(f bigmath.Func) Scheme {
 	switch f {
 	case bigmath.Ln, bigmath.Log2, bigmath.Log10:
-		return logScheme{fn: f}
+		return newLogScheme(f)
 	case bigmath.Exp, bigmath.Exp2, bigmath.Exp10:
-		return expScheme{fn: f}
+		return newExpScheme(f)
 	case bigmath.Sinh, bigmath.Cosh:
-		return sinhCoshScheme{fn: f}
+		return SinhCoshScheme{fn: f}
 	case bigmath.SinPi, bigmath.CosPi:
-		return sinCosPiScheme{fn: f}
+		return SinCosPiScheme{fn: f}
 	}
 	//lint:ignore barepanic exhaustive Func switch; a new function is a compile-time change.
 	panic("reduction: unknown function")

@@ -8,9 +8,9 @@ import (
 	"repro/internal/poly"
 )
 
-// sinhCoshScheme implements sinh and cosh with two polynomial kernels.
+// SinhCoshScheme implements sinh and cosh with two polynomial kernels.
 //
-// Reduction: a = |x| = N·(ln2/64) + r as in expScheme, and with
+// Reduction: a = |x| = N·(ln2/64) + r as in ExpScheme, and with
 // E± = 2^(±N/64) assembled from the tables,
 //
 //	sinh a = ½(E⁺-E⁻)·cosh r + ½(E⁺+E⁻)·sinh r
@@ -20,22 +20,22 @@ import (
 // sinh-kernel polynomial (y1); sinh restores the sign of x at the end.
 // This is the paper's "range reduction requires approximations of two
 // functions" structure for sinh/cosh (Table 1 lists two polynomials).
-type sinhCoshScheme struct {
+type SinhCoshScheme struct {
 	fn bigmath.Func
 }
 
-func (s sinhCoshScheme) Func() bigmath.Func { return s.fn }
+func (s SinhCoshScheme) Func() bigmath.Func { return s.fn }
 
-func (s sinhCoshScheme) NumPolys() int { return 2 }
+func (s SinhCoshScheme) NumPolys() int { return 2 }
 
-func (s sinhCoshScheme) Structure(p int) poly.Structure {
+func (s SinhCoshScheme) Structure(p int) poly.Structure {
 	if p == 0 {
 		return poly.Even // cosh kernel
 	}
 	return poly.Odd // sinh kernel
 }
 
-func (s sinhCoshScheme) ReducedDomain() (lo, hi float64) {
+func (s SinhCoshScheme) ReducedDomain() (lo, hi float64) {
 	c := ln2Double / 64
 	return -c / 2 * 1.01, c / 2 * 1.01
 }
@@ -49,7 +49,7 @@ const sinhOverflowCut = 91.0
 // in double, so the special path answers with nextafter-style proxies.
 const sinhTinyCut = 1.0 / (1 << 18)
 
-func (s sinhCoshScheme) Reduce(x float64) (Ctx, bool) {
+func (s SinhCoshScheme) Reduce(x float64) (Ctx, bool) {
 	if math.IsNaN(x) || math.IsInf(x, 0) {
 		return Ctx{}, false
 	}
@@ -77,22 +77,27 @@ func (s sinhCoshScheme) Reduce(x float64) (Ctx, bool) {
 	return ctx, true
 }
 
-func (s sinhCoshScheme) Compensate(ctx Ctx, y0, y1 float64) float64 {
+func (s SinhCoshScheme) Compensate(ctx Ctx, y0, y1 float64) float64 {
 	return ctx.Sign * (ctx.A*y0 + ctx.B*y1)
 }
 
-func (s sinhCoshScheme) Affine(ctx Ctx) (sign, a, b float64) {
+func (s SinhCoshScheme) Affine(ctx Ctx) (sign, a, b float64) {
 	return ctx.Sign, ctx.A, ctx.B
 }
 
-func (s sinhCoshScheme) Kernels(r float64, prec uint) (*big.Float, *big.Float) {
+func (s SinhCoshScheme) Kernels(r float64, prec uint) (*big.Float, *big.Float) {
 	if r == 0 {
 		return new(big.Float).SetPrec(prec).SetInt64(1), new(big.Float).SetPrec(prec)
 	}
 	return bigmath.Eval(bigmath.Cosh, r, prec), bigmath.Eval(bigmath.Sinh, r, prec)
 }
 
-func (s sinhCoshScheme) Special(x float64) float64 {
+// Special may be arbitrarily slow: the batch kernel reaches it only for
+// inputs Reduce rejected. The //evalhot:cold marker below records that
+// audit, so the hot-loop walk stops here.
+//
+//evalhot:cold
+func (s SinhCoshScheme) Special(x float64) float64 {
 	switch {
 	case math.IsNaN(x):
 		return math.NaN()

@@ -8,7 +8,7 @@ import (
 	"repro/internal/poly"
 )
 
-// sinCosPiScheme implements sinpi and cospi with two polynomial kernels.
+// SinCosPiScheme implements sinpi and cospi with two polynomial kernels.
 //
 // Reduction (every step exact in float64): z = |x| mod 2 ∈ [0,2), folded
 // into w ∈ [0,½] with sign fixups using sinπ(1+t) = -sinπ(t),
@@ -23,22 +23,22 @@ import (
 //
 // Inputs with 2x integral (all results 0, ±1, ±½-grid exact values, plus
 // every |x| ≥ 2^52) take the special path.
-type sinCosPiScheme struct {
+type SinCosPiScheme struct {
 	fn bigmath.Func
 }
 
-func (s sinCosPiScheme) Func() bigmath.Func { return s.fn }
+func (s SinCosPiScheme) Func() bigmath.Func { return s.fn }
 
-func (s sinCosPiScheme) NumPolys() int { return 2 }
+func (s SinCosPiScheme) NumPolys() int { return 2 }
 
-func (s sinCosPiScheme) Structure(p int) poly.Structure {
+func (s SinCosPiScheme) Structure(p int) poly.Structure {
 	if p == 0 {
 		return poly.Even // cosπ kernel
 	}
 	return poly.Odd // sinπ kernel
 }
 
-func (s sinCosPiScheme) ReducedDomain() (lo, hi float64) {
+func (s SinCosPiScheme) ReducedDomain() (lo, hi float64) {
 	return -1.0 / 128, 1.0 / 128
 }
 
@@ -76,7 +76,7 @@ func fold(x float64) (w, ssign, csign float64) {
 	return w, ssign, csign
 }
 
-func (s sinCosPiScheme) Reduce(x float64) (Ctx, bool) {
+func (s SinCosPiScheme) Reduce(x float64) (Ctx, bool) {
 	if math.IsNaN(x) || math.IsInf(x, 0) {
 		return Ctx{}, false
 	}
@@ -99,32 +99,32 @@ func (s sinCosPiScheme) Reduce(x float64) (Ctx, bool) {
 	return ctx, true
 }
 
-func (s sinCosPiScheme) Compensate(ctx Ctx, y0, y1 float64) float64 {
+func (s SinCosPiScheme) Compensate(ctx Ctx, y0, y1 float64) float64 {
 	return ctx.Sign * (ctx.A*y0 + ctx.B*y1)
 }
 
-func (s sinCosPiScheme) Affine(ctx Ctx) (sign, a, b float64) {
+func (s SinCosPiScheme) Affine(ctx Ctx) (sign, a, b float64) {
 	return ctx.Sign, ctx.A, ctx.B
 }
 
-func (s sinCosPiScheme) Kernels(r float64, prec uint) (*big.Float, *big.Float) {
+func (s SinCosPiScheme) Kernels(r float64, prec uint) (*big.Float, *big.Float) {
 	if r == 0 {
 		return new(big.Float).SetPrec(prec).SetInt64(1), new(big.Float).SetPrec(prec)
 	}
 	return bigmath.Eval(bigmath.CosPi, r, prec), bigmath.Eval(bigmath.SinPi, r, prec)
 }
 
-func (s sinCosPiScheme) Special(x float64) float64 {
+// Special may be arbitrarily slow: the batch kernel reaches it only for
+// inputs Reduce rejected. The //evalhot:cold marker below records that
+// audit, so the hot-loop walk stops here.
+//
+//evalhot:cold
+func (s SinCosPiScheme) Special(x float64) float64 {
 	switch {
 	case math.IsNaN(x), math.IsInf(x, 0):
 		return math.NaN()
-	}
-	if v, ok := bigmath.ExactValue(s.fn, x); ok {
-		f, _ := v.Float64()
-		if v.Signbit() {
-			f = math.Copysign(f, -1)
-		}
-		return f
+	case 2*x == math.Trunc(2*x):
+		return s.exact(x)
 	}
 	// Anchor region: |result| = 1 - (πr)²/2, just below 1 in magnitude.
 	w, ssign, csign := fold(x)
@@ -141,4 +141,22 @@ func (s sinCosPiScheme) Special(x float64) float64 {
 	}
 	//lint:ignore barepanic Reduce classified the input as special; the case split above mirrors that classification exactly.
 	panic("reduction: sinpi/cospi special on regular input")
+}
+
+// exact returns sinπ(x) or cosπ(x) for finite x with 2x integral: the
+// values bigmath.ExactValue reports (sinπ of an integer is 0 with the sign
+// of x, cosπ of an odd multiple of ½ is +0, everything else ±1), computed
+// from fold without math/big so the special path allocates nothing.
+func (s SinCosPiScheme) exact(x float64) float64 {
+	w, ssign, csign := fold(x) // w ∈ {0, ½}
+	if s.fn == bigmath.SinPi {
+		if w == 0 {
+			return math.Copysign(0, x)
+		}
+		return ssign
+	}
+	if w == 0 {
+		return csign
+	}
+	return 0
 }
