@@ -6,12 +6,13 @@
 // Timing follows the paper's methodology in spirit: for every function and
 // format, the total time to compute the function over a fixed corpus of
 // valid inputs, here measured with monotonic-clock batches instead of
-// rdtscp cycles. Both generated libraries — RLIBM-Prog ("ours") and the
-// RLibm-All baseline (d) — are timed on the path users run: an
-// eval.Compile kernel's EvalBatch over the corpus. The "full ns" column
-// times the same corpus through a kernel pinned to the largest level's
-// full polynomial (eval.CompileAt), so "ours" minus "full" is the
-// progressive effect the served kernel delivers.
+// rdtscp cycles. The libraries of one cell are timed interleaved, round
+// by round, and each reports its median round. Both generated libraries
+// — RLIBM-Prog ("ours") and the RLibm-All baseline (d) — are timed on the
+// path users run: an eval.Compile kernel's EvalBatch over the corpus. The
+// "full ns" column times the same corpus through a kernel pinned to the
+// largest level's full polynomial (eval.CompileAt), so "ours" minus
+// "full" is the progressive effect the served kernel delivers.
 //
 // By default the timed libraries come from the emitted internal/libm
 // tables; with -generate they are generated through the staged pipeline,
@@ -27,6 +28,7 @@ import (
 	"math/rand"
 	"os"
 	"runtime"
+	"sort"
 	"strings"
 	"time"
 
@@ -65,24 +67,39 @@ func corpus(fn bigmath.Func, f fp.Format, rng *rand.Rand) []float64 {
 	return out
 }
 
-// timeIt measures ns/op of f over repeated batches.
-func timeIt(f func()) float64 {
-	// Warm up.
-	f()
-	best := math.Inf(1)
-	for trial := 0; trial < 5; trial++ {
-		n := 0
-		start := time.Now()
-		for time.Since(start) < 20*time.Millisecond {
-			f()
-			n++
-		}
-		perBatch := float64(time.Since(start).Nanoseconds()) / float64(n)
-		if perBatch < best {
-			best = perBatch
+// Timing rounds and the length of one timed window.
+const (
+	timeRounds = 5
+	timeWindow = 20 * time.Millisecond
+)
+
+// timeAll measures ns/op of each batch function in fs. The functions are
+// interleaved: every round times each one for one window, starting the
+// rotation one function later each round, so machine-load drift lands on
+// all of them alike. Each result is the median of its rounds.
+func timeAll(fs ...func()) []float64 {
+	for _, f := range fs {
+		f() // warm up
+	}
+	per := make([][]float64, len(fs))
+	for round := 0; round < timeRounds; round++ {
+		for j := range fs {
+			i := (j + round) % len(fs)
+			n := 0
+			start := time.Now()
+			for time.Since(start) < timeWindow {
+				fs[i]()
+				n++
+			}
+			per[i] = append(per[i], float64(time.Since(start).Nanoseconds())/float64(n)/corpusSize)
 		}
 	}
-	return best / corpusSize
+	out := make([]float64, len(fs))
+	for i, ts := range per {
+		sort.Float64s(ts)
+		out[i] = ts[len(ts)/2]
+	}
+	return out
 }
 
 func main() {
@@ -163,24 +180,27 @@ func main() {
 			}
 			dst := make([]uint64, len(xs))
 			var sink uint64
-			ours := timeIt(func() { kProg.EvalBatch(dst, xs) })
-			full := timeIt(func() { kFull.EvalBatch(dst, xs) })
-			tGlibc := timeIt(func() {
-				for _, x := range xs {
-					sink += fc.f.FromFloat64(ml.Value(x), fp.RoundNearestEven)
-				}
-			})
-			tIntel := timeIt(func() {
-				for _, x := range xs {
-					sink += fc.f.FromFloat64(ddl.Value(x), fp.RoundNearestEven)
-				}
-			})
-			tCr := timeIt(func() {
-				for _, x := range xs {
-					sink += fc.f.FromFloat64(crl.Value(x, fp.RoundNearestEven), fp.RoundNearestEven)
-				}
-			})
-			tAll := timeIt(func() { kBase.EvalBatch(dst, xs) })
+			ts := timeAll(
+				func() { kProg.EvalBatch(dst, xs) },
+				func() { kFull.EvalBatch(dst, xs) },
+				func() {
+					for _, x := range xs {
+						sink += fc.f.FromFloat64(ml.Value(x), fp.RoundNearestEven)
+					}
+				},
+				func() {
+					for _, x := range xs {
+						sink += fc.f.FromFloat64(ddl.Value(x), fp.RoundNearestEven)
+					}
+				},
+				func() {
+					for _, x := range xs {
+						sink += fc.f.FromFloat64(crl.Value(x, fp.RoundNearestEven), fp.RoundNearestEven)
+					}
+				},
+				func() { kBase.EvalBatch(dst, xs) },
+			)
+			ours, full, tGlibc, tIntel, tCr, tAll := ts[0], ts[1], ts[2], ts[3], ts[4], ts[5]
 			_ = sink
 			sp := func(t float64) float64 { return (t - ours) / ours * 100 }
 			fmt.Printf("%-7s %-14s %10.1f %10.1f | %9.0f%% %9.0f%% %9.0f%% %9.0f%%\n",

@@ -114,3 +114,137 @@ func TestRoundMatchesFromBig(t *testing.T) {
 		}
 	}
 }
+
+// fastPathBoundaries returns the positive edge values of the normal-range
+// fast path of Round for f: both ends of its exponent guard, the overflow
+// threshold, midpoints with each kept-lsb parity and all-ones mantissas
+// whose rounding carries into the next binade.
+func fastPathBoundaries(f Format) []float64 {
+	p := f.MantBits()
+	minNormal := math.Ldexp(1, f.EMin())
+	maxFinite := f.MaxFiniteValue()
+	halfUlpMax := math.Ldexp(1, f.EMax()-p-1)
+	top := math.Ldexp(1, f.EMax()+1)
+	up := func(v float64) float64 { return math.Nextafter(v, math.Inf(1)) }
+	down := func(v float64) float64 { return math.Nextafter(v, 0) }
+	vs := []float64{
+		minNormal, down(minNormal), up(minNormal),
+		f.Decode(f.mantMask()), // largest target subnormal
+		maxFinite, down(maxFinite), up(maxFinite),
+		top, down(top), // 2^(EMax+1)·(1-2^-53) and the first binade past the range
+	}
+	for _, v := range []float64{maxFinite - halfUlpMax, maxFinite + halfUlpMax} {
+		vs = append(vs, v, down(v), up(v))
+	}
+	for _, e := range []int{f.EMin(), 0, f.EMax()} {
+		unit := math.Ldexp(1, e-p) // one target ulp in binade 2^e
+		vs = append(vs,
+			math.Ldexp(1, e)+unit/2,   // midpoint, even kept lsb
+			math.Ldexp(1, e)+3*unit/2, // midpoint, odd kept lsb
+			math.Ldexp(2, e)-unit/2,   // midpoint below 2^(e+1): all-ones kept bits
+			down(math.Ldexp(2, e)),    // all-ones double mantissa
+		)
+	}
+	return vs
+}
+
+// TestRoundFastPathBoundaries checks Round against the exact FromBig at the
+// edges of the fast path, for every format × mode and both signs.
+func TestRoundFastPathBoundaries(t *testing.T) {
+	for _, f := range rounderFormats {
+		vs := fastPathBoundaries(f)
+		for _, m := range AllModes {
+			r := NewRounder(f, m)
+			for _, v := range vs {
+				for _, x := range []float64{v, -v} {
+					want := f.FromBig(new(big.Float).SetFloat64(x), m)
+					if got := r.Round(x); got != want {
+						t.Errorf("%v/%v: Round(%x) = %#x, FromBig = %#x", f, m, x, got, want)
+					}
+				}
+			}
+		}
+	}
+}
+
+// FuzzRound checks Round against the exact FromBig for arbitrary float64
+// bits, any format NewFormat accepts and every mode. The seeds under
+// testdata/fuzz/FuzzRound sit on the fast path's boundaries.
+func FuzzRound(f *testing.F) {
+	f.Fuzz(func(t *testing.T, in uint64, width, expBits, modeIdx uint8) {
+		out, err := NewFormat(int(width), int(expBits))
+		if err != nil {
+			t.Skip(err)
+		}
+		m := AllModes[int(modeIdx)%len(AllModes)]
+		v := math.Float64frombits(in)
+		want := out.NaN()
+		if !math.IsNaN(v) {
+			want = out.FromBig(new(big.Float).SetFloat64(v), m)
+		}
+		r := NewRounder(out, m)
+		if got := r.Round(v); got != want {
+			t.Fatalf("%v/%v: Round(%x) = %#x, FromBig = %#x", out, m, v, got, want)
+		}
+	})
+}
+
+// BenchmarkRound reports ns/value of Round over two fixed-seed corpora:
+// normal-range values, which take the bit-level fast path, and a slow-path
+// mix of target subnormals, overflows and specials.
+func BenchmarkRound(b *testing.B) {
+	f22 := MustFormat(22, 8)
+	type cell struct {
+		name string
+		f    Format
+		m    Mode
+	}
+	cells := []cell{{"bf16", Bfloat16, RoundNearestEven}, {"tf32", TensorFloat32, RoundNearestEven}}
+	for _, m := range StandardModes {
+		cells = append(cells, cell{"f22", f22, m})
+	}
+	const n = 4096
+	corpora := []struct {
+		name string
+		gen  func(f Format, rng *rand.Rand) float64
+	}{
+		{"normal", func(f Format, rng *rand.Rand) float64 {
+			return math.Ldexp(1+rng.Float64(), f.EMin()+rng.Intn(f.EMax()-f.EMin()+1))
+		}},
+		{"slow", func(f Format, rng *rand.Rand) float64 {
+			switch rng.Intn(4) {
+			case 0: // target subnormal
+				return math.Ldexp(1+rng.Float64(), f.EMin()-f.MantBits()-1+rng.Intn(f.MantBits()+1))
+			case 1: // overflow
+				return math.Ldexp(1+rng.Float64(), f.EMax()+1+rng.Intn(8))
+			case 2: // double subnormal or zero
+				return math.Float64frombits(rng.Uint64() & f64FracMask)
+			default: // ±∞ or NaN
+				return math.Float64frombits(uint64(f64ExpMask)<<f64FracBits | rng.Uint64()&1)
+			}
+		}},
+	}
+	for _, corpus := range corpora {
+		for _, c := range cells {
+			rng := rand.New(rand.NewSource(23))
+			vs := make([]float64, n)
+			for i := range vs {
+				vs[i] = corpus.gen(c.f, rng)
+				if rng.Intn(2) == 0 {
+					vs[i] = -vs[i]
+				}
+			}
+			r := NewRounder(c.f, c.m)
+			b.Run(corpus.name+"/"+c.name+"/"+c.m.String(), func(b *testing.B) {
+				var sink uint64
+				for i := 0; i < b.N; i++ {
+					for _, v := range vs {
+						sink += r.Round(v)
+					}
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/value")
+				_ = sink
+			})
+		}
+	}
+}

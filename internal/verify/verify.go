@@ -108,10 +108,13 @@ func Want(orc *oracle.Oracle, x float64, f fp.Format, mode fp.Mode) uint64 {
 }
 
 // check evaluates one input bit pattern against the oracle's round-to-odd
-// proxy under every requested mode, recording mismatches into reports.
+// proxy under every requested mode, recording mismatches into reports. The
+// proxy is rounded into f through one precompiled fp.Rounder per mode, the
+// same bits as Want's FromFloat64.
 type check struct {
 	f, ext  fp.Format
 	modes   []fp.Mode
+	rnds    []fp.Rounder
 	orc     *oracle.Oracle
 	got     func(x float64, m fp.Mode) uint64
 	reports []Report
@@ -119,8 +122,10 @@ type check struct {
 
 func newCheck(f fp.Format, modes []fp.Mode, orc *oracle.Oracle, got func(float64, fp.Mode) uint64) *check {
 	c := &check{f: f, ext: f.Extend(2), modes: modes, orc: orc, got: got}
+	c.rnds = make([]fp.Rounder, len(modes))
 	c.reports = make([]Report, len(modes))
 	for i, m := range modes {
+		c.rnds[i] = fp.NewRounder(f, m)
 		c.reports[i] = Report{Format: f, Mode: m}
 	}
 	return c
@@ -130,7 +135,7 @@ func (c *check) input(b uint64) {
 	x := c.f.Decode(b)
 	roVal := roProxy(c.orc, c.ext, x)
 	for i, m := range c.modes {
-		want := c.f.FromFloat64(roVal, m)
+		want := c.rnds[i].Round(roVal)
 		got := c.got(x, m)
 		c.reports[i].Checked++
 		if got != want && len(c.reports[i].Mismatches) < maxRecorded {
