@@ -80,7 +80,7 @@ check-serve:
 	$(GO) test -race -timeout 10m ./internal/serve/
 	$(eval SERVE_DIR := $(shell mktemp -d))
 	$(GO) build -race -o $(SERVE_DIR)/rlibm-serve ./cmd/rlibm-serve
-	$(SERVE_DIR)/rlibm-serve -listen 127.0.0.1:8093 -cache-dir $(SERVE_DIR) -report \
+	$(SERVE_DIR)/rlibm-serve -listen 127.0.0.1:8093 -store dir:$(SERVE_DIR) -report \
 	    > $(SERVE_DIR)/serve.log 2>&1 & \
 	  srv=$$!; \
 	  curl -sf --retry 20 --retry-connrefused --retry-delay 1 127.0.0.1:8093/readyz > /dev/null; \
@@ -113,15 +113,15 @@ check-campaign:
 	$(eval CAMPAIGN_DIR := $(shell mktemp -d))
 	$(GO) build -race -o $(CAMPAIGN_DIR)/rlibm-store ./cmd/rlibm-store
 	$(GO) build -race -o $(CAMPAIGN_DIR)/rlibm-campaign ./cmd/rlibm-campaign
-	$(CAMPAIGN_DIR)/rlibm-store -listen 127.0.0.1:8095 -mem -max-bytes 4096 & \
+	$(CAMPAIGN_DIR)/rlibm-store -listen 127.0.0.1:8095 -store mem: -store-max-bytes 4096 & \
 	  srv=$$!; \
 	  sleep 1; \
 	  $(CAMPAIGN_DIR)/rlibm-campaign -store tcp://127.0.0.1:8095 -peers 2 \
-	    -funcs cospi -bits 12 -min-bits 10 -levels 10,12 \
+	    -funcs cospi -bits 12 -min-bits 10 -levels F10,8:F12,8 \
 	    -out $(CAMPAIGN_OUT)/BENCH_campaign.json -campaign-report $(CAMPAIGN_OUT)/campaign_report.json; \
 	  first=$$?; \
 	  $(CAMPAIGN_DIR)/rlibm-campaign -store tcp://127.0.0.1:8095 -peers 2 \
-	    -funcs cospi -bits 12 -min-bits 10 -levels 10,12 \
+	    -funcs cospi -bits 12 -min-bits 10 -levels F10,8:F12,8 \
 	    -out '' -campaign-report '' > $(CAMPAIGN_DIR)/resume.out 2>&1; \
 	  second=$$?; \
 	  cat $(CAMPAIGN_DIR)/resume.out; \
@@ -177,7 +177,7 @@ bench:
 report:
 	$(eval REPORT_DIR := $(shell mktemp -d))
 	$(GO) run ./cmd/rlibm-gen -func cospi -levels F10,8:F12,8 \
-		-cache-dir $(REPORT_DIR) -report -v
+		-store dir:$(REPORT_DIR) -report -v
 	@echo '== report.json =='
 	@cat $(REPORT_DIR)/report.json
 	@rm -rf $(REPORT_DIR)

@@ -17,7 +17,7 @@
 //
 // Typical 2-peer campaign against a shared eviction-bounded store:
 //
-//	rlibm-store -listen 127.0.0.1:7070 -max-bytes 268435456 &
+//	rlibm-store -listen 127.0.0.1:7070 -store-max-bytes 268435456 &
 //	rlibm-campaign -store tcp://127.0.0.1:7070 -peers 2 -progressive-ro
 //
 // Killing a worker (or the whole driver) and rerunning the same command
@@ -42,7 +42,6 @@ import (
 	"repro/internal/bigmath"
 	"repro/internal/campaign"
 	"repro/internal/cli"
-	"repro/internal/fp"
 	"repro/internal/gen"
 	"repro/internal/pipeline"
 )
@@ -59,7 +58,7 @@ func main() {
 	var (
 		funcsFlag   = flag.String("funcs", "", "comma-separated functions to sweep (default: all ten)")
 		minBits     = flag.Int("min-bits", campaign.MinSweepBits, "smallest swept format width (paper: 10)")
-		levelsFlag  = flag.String("levels", "", "comma-separated widths of the generated representation ladder, e.g. 10,12 (default: the standard bfloat16/tf32/F(bits,8) triple — requires -bits > 19)")
+		levelsFlag  = flag.String("levels", "", "colon-separated generated representation ladder, e.g. F10,8:F12,8 (default: the standard bfloat16/tf32/F(bits,8) triple — requires -bits > 19)")
 		peers       = flag.Int("peers", 2, "worker peer count")
 		workerMode  = flag.Bool("campaign-worker", false, "internal: run as one campaign worker peer (driver use only)")
 		progRO      = flag.Bool("progressive-ro", true, "generate lower levels against round-to-odd intervals (all-modes progressive guarantee)")
@@ -95,17 +94,11 @@ func main() {
 		}
 	}
 	if *levelsFlag != "" {
-		for _, w := range strings.Split(*levelsFlag, ",") {
-			var bits int
-			if _, err := fmt.Sscanf(strings.TrimSpace(w), "%d", &bits); err != nil {
-				log.Fatalf("invalid -levels entry %q: %v", w, err)
-			}
-			f, err := fp.NewFormat(bits, 8)
-			if err != nil {
-				log.Fatalf("invalid -levels entry %q: %v", w, err)
-			}
-			plan.Levels = append(plan.Levels, f)
+		levels, err := cli.ParseLevels(*levelsFlag)
+		if err != nil {
+			log.Fatal(err)
 		}
+		plan.Levels = levels
 	}
 	if err := plan.Validate(); err != nil {
 		log.Fatal(err)
@@ -128,9 +121,9 @@ func main() {
 	// there is — a fresh MemStore per peer would be N disjoint caches
 	// whose claims never meet — or none, with caching disabled.
 	runPeer := func(ctx context.Context, peer int, shard gen.Shard) (*campaign.PeerReport, error) {
-		return runOnePeerProcess(ctx, common, plan, shard, peer)
+		return runOnePeerProcess(ctx, common, plan, *levelsFlag, shard, peer)
 	}
-	if st == nil || strings.HasPrefix(common.StoreURL, "mem") {
+	if scheme, _ := cli.StoreScheme(common.StoreURL); scheme == "" || scheme == "mem" {
 		runPeer = func(ctx context.Context, peer int, shard gen.Shard) (*campaign.PeerReport, error) {
 			return campaign.RunWorker(ctx, campaign.WorkerConfig{
 				Plan: plan, Shard: shard, Store: st, Logf: peerLogf(campaignLogf(common), peer),
@@ -197,7 +190,8 @@ func runWorkerMode(ctx context.Context, common *cli.Common, plan campaign.Plan) 
 
 // runOnePeerProcess runs one peer incarnation as a worker process — this
 // binary with -campaign-worker — and parses its marked stdout lines.
-func runOnePeerProcess(ctx context.Context, common *cli.Common, plan campaign.Plan, shard gen.Shard, peer int) (*campaign.PeerReport, error) {
+// levels is the driver's -levels value, forwarded as given.
+func runOnePeerProcess(ctx context.Context, common *cli.Common, plan campaign.Plan, levels string, shard gen.Shard, peer int) (*campaign.PeerReport, error) {
 	var funcs []string
 	for _, fn := range plan.Funcs {
 		funcs = append(funcs, fn.String())
@@ -206,7 +200,6 @@ func runOnePeerProcess(ctx context.Context, common *cli.Common, plan campaign.Pl
 		"-campaign-worker",
 		"-shard", shard.String(),
 		"-store", common.StoreURL,
-		"-cache-dir", common.CacheDir,
 		"-funcs", strings.Join(funcs, ","),
 		"-bits", fmt.Sprint(plan.Bits),
 		"-min-bits", fmt.Sprint(plan.MinBits),
@@ -214,12 +207,8 @@ func runOnePeerProcess(ctx context.Context, common *cli.Common, plan campaign.Pl
 		"-workers", fmt.Sprint(common.Workers),
 		fmt.Sprintf("-progressive-ro=%v", plan.ProgressiveRO),
 	}
-	if len(plan.Levels) > 0 {
-		var widths []string
-		for _, l := range plan.Levels {
-			widths = append(widths, fmt.Sprint(l.Bits()))
-		}
-		args = append(args, "-levels", strings.Join(widths, ","))
+	if levels != "" {
+		args = append(args, "-levels", levels)
 	}
 	if common.Verbose {
 		args = append(args, "-v")

@@ -16,7 +16,7 @@
 //
 // By default the timed libraries come from the emitted internal/libm
 // tables; with -generate they are generated through the staged pipeline,
-// reusing the shared artifact cache (-cache-dir), so a table1 → table2 →
+// reusing the shared artifact store (-store), so a table1 → table2 →
 // fig4 sequence enumerates each function exactly once.
 package main
 

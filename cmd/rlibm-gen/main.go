@@ -5,10 +5,11 @@
 // optionally emits the coefficient tables as Go source into internal/libm.
 //
 // The pipeline runs as explicit stages — Enumerate, Reduce, Solve, Verify —
-// each checkpointed in a content-addressed artifact cache (-cache-dir), so
-// an interrupted run resumes at stage granularity and repeated runs with a
-// different seed still reuse the expensive enumeration. -no-cache restores
-// the fully in-memory behavior.
+// each checkpointed in a content-addressed artifact store (-store, by
+// default dir: in the user cache directory), so an interrupted run resumes
+// at stage granularity and repeated runs with a different seed still reuse
+// the expensive enumeration. An empty -store= restores the fully in-memory
+// behavior.
 //
 // With -baseline it instead generates the RLibm-All comparison library:
 // piecewise polynomials with large sub-domain counts, a single (largest)
@@ -20,7 +21,7 @@
 //	rlibm-gen -baseline -emit internal/libm      # RLibm-All baseline
 //	rlibm-gen -func log2 -bits 22 -v             # one function, smaller scale
 //	rlibm-gen -func exp2 -levels F10,8:F12,8     # explicit tiny level list
-//	rlibm-gen -func cospi -report                # write report.json next to the cache
+//	rlibm-gen -func cospi -report                # write report.json into the dir: store
 package main
 
 import (

@@ -6,15 +6,17 @@
 // The server is a thin relay in front of an ordinary backend: every
 // consistency property (atomic publication, sealed-frame checksums, audit)
 // belongs to the backing store, and the bytes a client Puts are the bytes
-// every client Gets. By default it fronts the atomic-rename disk store
-// rooted at -cache-dir — persistent across restarts and shareable with
-// local dir: runs — while -mem serves an ephemeral in-memory store for
-// tests and throwaway distributed runs.
+// every client Gets. The backend is chosen by -store, opened by the same
+// cli.OpenStore every command uses: by default the atomic-rename disk
+// store in the default cache directory (-store dir:PATH picks another;
+// persistent across restarts and shareable with local dir: runs), while
+// -store mem: serves an ephemeral in-memory store for tests and throwaway
+// distributed runs. -store-max-bytes bounds either with LRU eviction.
 //
 // Typical use:
 //
 //	rlibm-store -listen :7070                        # serve the default cache dir
-//	rlibm-store -listen 127.0.0.1:7070 -mem          # ephemeral store for a test fleet
+//	rlibm-store -listen 127.0.0.1:7070 -store mem:   # ephemeral store for a test fleet
 //	rlibm-gen -store tcp://host:7070 -shard 0/2 &    # then point workers at it
 //	rlibm-gen -store tcp://host:7070 -shard 1/2
 //
@@ -39,11 +41,10 @@ import (
 func main() {
 	var (
 		listen   = flag.String("listen", "127.0.0.1:7070", "TCP address to serve the store on")
-		cacheDir = flag.String("cache-dir", cli.DefaultCacheDir(), "artifact cache directory backing the served store")
-		mem      = flag.Bool("mem", false, "serve an ephemeral in-memory store instead of the disk cache")
+		storeURL = flag.String("store", "dir:"+cli.DefaultCacheDir(), "backing store URL: dir:PATH or mem:")
 		maxConns = flag.Int("max-conns", 64, "maximum concurrently served connections (0 = unlimited)")
 		idle     = flag.Duration("idle-timeout", 2*time.Minute, "drop a connection idle for this long (0 = never)")
-		maxBytes = flag.Int64("max-bytes", 0, "evict least-recently-used artifacts once the store exceeds this many bytes (0 = unbounded; claims and campaign manifests are never evicted)")
+		maxBytes = flag.Int64("store-max-bytes", 0, "evict least-recently-used artifacts once the store exceeds this many bytes (0 = unbounded; claims and campaign manifests are never evicted)")
 		verbose  = flag.Bool("v", false, "log per-connection protocol errors")
 	)
 	flag.Parse()
@@ -53,32 +54,15 @@ func main() {
 	if *idle < 0 {
 		log.Fatalf("invalid -idle-timeout %v: must be at least 0 (0 = never)", *idle)
 	}
-	if *maxBytes < 0 {
-		log.Fatalf("invalid -max-bytes %d: must be at least 0 (0 = unbounded)", *maxBytes)
+	if scheme, err := cli.StoreScheme(*storeURL); err == nil && (scheme == "" || scheme == "tcp") {
+		log.Fatalf("invalid -store %q: the served store must be local (dir:PATH or mem:)", *storeURL)
 	}
-
-	var backing pipeline.Store
-	if *mem {
-		backing = pipeline.NewMemStore()
-	} else {
-		if *cacheDir == "" {
-			log.Fatal("invalid -cache-dir \"\": the served store needs a directory (or pass -mem)")
-		}
-		st, err := pipeline.Open(*cacheDir)
-		if err != nil {
-			log.Fatal(err)
-		}
-		backing = st
+	backing, err := cli.OpenStore(*storeURL, *maxBytes)
+	if err != nil {
+		log.Fatal(err)
 	}
-
-	where := "mem:"
-	if ds, ok := backing.(*pipeline.DiskStore); ok {
-		where = "dir:" + ds.Dir()
-	}
-	var evicting *pipeline.EvictingStore
+	where := *storeURL
 	if *maxBytes > 0 {
-		evicting = pipeline.NewEvictingStore(backing, *maxBytes)
-		backing = evicting
 		where = fmt.Sprintf("%s (LRU budget %d bytes)", where, *maxBytes)
 	}
 
@@ -102,13 +86,13 @@ func main() {
 		logf = log.Printf
 	}
 	opts := pipeline.ServeOptions{MaxConns: *maxConns, IdleTimeout: *idle}
-	if err := pipeline.ServeWith(l, backing, opts, logf); err != nil {
+	if err := pipeline.Serve(l, backing, opts, logf); err != nil {
 		log.Fatal(err)
 	}
 	if err := backing.Audit(); err != nil {
 		log.Fatalf("rlibm-store: post-run audit: %v", err)
 	}
-	if evicting != nil {
+	if evicting, ok := backing.(*pipeline.EvictingStore); ok {
 		st := evicting.Stats()
 		fmt.Printf("rlibm-store: evictions=%d bytes_evicted=%d bytes_live=%d artifacts=%d\n",
 			st.Evictions, st.BytesEvicted, st.BytesLive, st.Artifacts)

@@ -6,8 +6,8 @@
 //
 // By default the table is rendered from the emitted tables in internal/libm.
 // With -generate it generates both libraries on the fly through the staged
-// pipeline, checkpointing every stage in the shared artifact cache
-// (-cache-dir) — a warm cache skips the oracle-driven enumeration entirely,
+// pipeline, checkpointing every stage in the shared artifact store
+// (-store) — a warm cache skips the oracle-driven enumeration entirely,
 // and sibling commands (rlibm-table2, rlibm-fig4 -generate) reuse the same
 // artifacts.
 package main

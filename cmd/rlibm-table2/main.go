@@ -12,8 +12,8 @@
 // The generated libraries are checked through their compiled serving
 // kernels, the code libm and rlibm-serve run. By default they come from
 // the emitted internal/libm tables; with -generate they are generated
-// through the staged pipeline, reusing the shared artifact cache
-// (-cache-dir) — after an rlibm-table1 -generate run the enumeration is
+// through the staged pipeline, reusing the shared artifact store
+// (-store) — after an rlibm-table1 -generate run the enumeration is
 // never repeated.
 package main
 

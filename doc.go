@@ -9,8 +9,8 @@
 // # Commands
 //
 // Everything is driven through the commands under cmd/, which share one
-// flag surface (internal/cli: -store/-cache-dir, -bits, -seed, -workers,
-// -shard, -timeout, the observability flags):
+// flag surface (internal/cli: -store, the one store selector, plus -bits,
+// -seed, -workers, -shard, -timeout and the observability flags):
 //
 //   - rlibm-gen — the generator: enumerate → reduce → solve → verify for
 //     one or more functions, emitting Go coefficient tables (-emit) for
@@ -21,7 +21,7 @@
 //     Table 1 (polynomial properties and memory), Table 2 (correctly
 //     rounded results per library) and Figure 4 (speedups).
 //   - rlibm-store — serve an artifact store over TCP to cooperating
-//     processes, optionally byte-budgeted (-max-bytes).
+//     processes, optionally byte-budgeted (-store-max-bytes).
 //   - rlibm-serve — serve the generated library itself: every function ×
 //     format × mode over HTTP/JSON and a framed bulk endpoint, with
 //     bounded admission, clean drain and verified hot reload.

@@ -90,6 +90,19 @@ func (p Plan) Validate() error {
 			return fmt.Errorf("campaign: swept format F(%d,8): %w", b, err)
 		}
 	}
+	// The sweep evaluates F(b,8) through the generated ladder, so every
+	// level must share its 8 exponent bits and the widest must cover Bits;
+	// otherwise each sweep would fail only after generating every function.
+	widest := 0
+	for _, l := range p.Levels {
+		if l.ExpBits() != 8 {
+			return fmt.Errorf("campaign: level %v: exponent width must be 8 like the swept formats", l)
+		}
+		widest = max(widest, l.Bits())
+	}
+	if len(p.Levels) > 0 && widest < p.Bits {
+		return fmt.Errorf("campaign: widest level F%d,8 is narrower than the largest swept width %d", widest, p.Bits)
+	}
 	if p.Seed < 0 {
 		return fmt.Errorf("campaign: seed %d must be at least 0", p.Seed)
 	}

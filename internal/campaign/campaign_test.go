@@ -45,7 +45,7 @@ func serveStore(t *testing.T, backing pipeline.Store) string {
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		if err := pipeline.Serve(l, backing, nil); err != nil {
+		if err := pipeline.Serve(l, backing, pipeline.ServeOptions{}, nil); err != nil {
 			t.Errorf("Serve: %v", err)
 		}
 	}()
@@ -126,6 +126,30 @@ func TestPlanFingerprintAndManifest(t *testing.T) {
 	}
 	if len(got.Units) != len(got2.Units) || got2.Fingerprint != m.Fingerprint {
 		t.Errorf("warm manifest differs: %v vs %v", got, got2)
+	}
+}
+
+// TestPlanValidateLevels: a level ladder the sweep cannot evaluate is
+// rejected up front, before any function is generated — a level with an
+// exponent width other than the swept formats' 8, or a widest level
+// narrower than the largest swept width.
+func TestPlanValidateLevels(t *testing.T) {
+	if err := testPlan(1).Validate(); err != nil {
+		t.Fatalf("test plan rejected: %v", err)
+	}
+	for _, tc := range []struct {
+		name   string
+		levels []fp.Format
+		want   string
+	}{
+		{"narrow", []fp.Format{fp.MustFormat(10, 8), fp.MustFormat(11, 8)}, "narrower"},
+		{"exp-width", []fp.Format{fp.MustFormat(10, 5), fp.MustFormat(12, 8)}, "exponent width"},
+	} {
+		p := testPlan(1)
+		p.Levels = tc.levels
+		if err := p.Validate(); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: Validate(levels %v) = %v, want an error mentioning %q", tc.name, tc.levels, err, tc.want)
+		}
 	}
 }
 

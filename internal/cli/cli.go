@@ -1,11 +1,11 @@
 // Package cli holds the flag plumbing and pipeline wiring shared by the
-// five rlibm commands: the common
-// -workers/-seed/-bits/-cache-dir/-no-cache/-timeout flag set (previously
-// copied four ways), the observability flags (-v, -report, -cpuprofile,
-// -memprofile) and their run-report emission, artifact-store opening, and
-// the staged generate+verify entry point that lets sibling commands reuse
-// one cache — rlibm-table1 → table2 → fig4 enumerate each function exactly
-// once.
+// rlibm commands: the common -workers/-seed/-bits/-store/-timeout flag set
+// (previously copied four ways), the observability flags (-v, -report,
+// -cpuprofile, -memprofile) and their run-report emission, the one
+// artifact-store opener (OpenStore, the only code that knows the -store
+// URL syntax), and the staged generate+verify entry point that lets
+// sibling commands reuse one cache — rlibm-table1 → table2 → fig4
+// enumerate each function exactly once.
 package cli
 
 import (
@@ -40,14 +40,11 @@ type Common struct {
 	Seed int64
 	// Bits is the width of the largest representation.
 	Bits int
-	// CacheDir roots the content-addressed artifact store; empty disables
-	// caching, as does NoCache. Kept as an alias for -store dir:PATH.
-	CacheDir string
-	NoCache  bool
 	// StoreURL selects the artifact-store backend: "dir:PATH" (atomic-
-	// rename on-disk store), "mem:" (ephemeral in-memory store) or
-	// "tcp://host:port" (remote store served by rlibm-store). Empty means
-	// "dir:" + CacheDir — the historical behavior.
+	// rename on-disk store; the -store default is "dir:" +
+	// DefaultCacheDir()), "mem:" (ephemeral in-memory store) or
+	// "tcp://host:port" (remote store served by rlibm-store). Empty
+	// disables caching. See OpenStore.
 	StoreURL string
 	// ShardSpec is the -shard flag value "k/n": this process computes
 	// slice k of the n-way distributed work partition (claims and work
@@ -56,7 +53,7 @@ type Common struct {
 	// StoreMaxBytes, when positive, wraps the local (dir: or mem:) store
 	// in an LRU eviction policy with this byte budget; claim artifacts
 	// are pinned. 0 disables eviction. Remote stores evict server-side
-	// (rlibm-store -max-bytes), so combining this with tcp:// is
+	// (rlibm-store -store-max-bytes), so combining this with tcp:// is
 	// rejected.
 	StoreMaxBytes int64
 	// store is the backend opened by Store(), retained so FinishRun can
@@ -87,15 +84,12 @@ func Register(fs *flag.FlagSet) *Common {
 	fs.Int64Var(&c.Seed, "seed", 1, "random seed")
 	fs.IntVar(&c.Bits, "bits", gen.DefaultLargestBits,
 		"width of the largest representation (paper: 32; see DESIGN.md)")
-	fs.StringVar(&c.CacheDir, "cache-dir", DefaultCacheDir(),
-		"artifact cache directory (empty disables caching; alias for -store dir:PATH)")
-	fs.BoolVar(&c.NoCache, "no-cache", false, "disable the artifact cache")
-	fs.StringVar(&c.StoreURL, "store", "",
-		"artifact store URL: dir:PATH, mem:, or tcp://host:port (default: dir:<cache-dir>)")
+	fs.StringVar(&c.StoreURL, "store", "dir:"+DefaultCacheDir(),
+		"artifact store URL: dir:PATH, mem: or tcp://host:port (empty disables caching)")
 	fs.StringVar(&c.ShardSpec, "shard", "",
 		"distributed work slice k/n: this process claims and computes slice k of n (requires a shared -store)")
 	fs.Int64Var(&c.StoreMaxBytes, "store-max-bytes", 0,
-		"evict least-recently-used artifacts once the local store exceeds this many bytes (0 disables; for tcp:// stores use rlibm-store -max-bytes)")
+		"evict least-recently-used artifacts once the local store exceeds this many bytes (0 disables; a tcp:// store evicts on the rlibm-store side)")
 	fs.DurationVar(&c.Timeout, "timeout", 0,
 		"abort the run after this duration (0 disables); an aborted run leaves the cache resumable")
 	fs.BoolVar(&c.Verbose, "v", false,
@@ -134,21 +128,8 @@ func (c *Common) Validate() error {
 	if _, err := gen.ParseShard(c.ShardSpec); err != nil {
 		return err
 	}
-	scheme, _, err := splitStoreURL(c.StoreURL)
-	if err != nil {
-		return err
-	}
-	if c.StoreMaxBytes < 0 {
-		return fmt.Errorf("invalid -store-max-bytes %d: must be at least 0 (0 disables eviction)", c.StoreMaxBytes)
-	}
-	// A remote client cannot evict for the server: its view of the store
-	// is one connection among many, so a client-side budget would evict
-	// peers' artifacts on partial information. Eviction for tcp:// stores
-	// belongs on the serving side.
-	if c.StoreMaxBytes > 0 && scheme == "tcp" {
-		return fmt.Errorf("invalid -store-max-bytes %d: must be at least 0 and used with a local store; a tcp:// store evicts server-side (rlibm-store -max-bytes)", c.StoreMaxBytes)
-	}
-	return nil
+	_, _, err := parseStore(c.StoreURL, c.StoreMaxBytes)
+	return err
 }
 
 // Shard returns the parsed -shard value; Validate has already rejected
@@ -189,17 +170,24 @@ func (c *Common) NewRecorder() *obs.Recorder {
 	return obs.New("run")
 }
 
-// ReportPath returns where -report writes report.json: next to the
-// artifact cache when the store is directory-backed, or the working
-// directory otherwise (caching disabled, memory store, remote store).
+// ReportPath returns where -report writes report.json: inside the store
+// directory for -store dir:PATH, or the working directory otherwise
+// (caching disabled, memory store, remote store).
 func (c *Common) ReportPath() string {
-	if c.NoCache || c.CacheDir == "" {
-		return "report.json"
+	if scheme, dir, err := parseStore(c.StoreURL, 0); err == nil && scheme == "dir" {
+		return filepath.Join(dir, "report.json")
 	}
-	if scheme, _, _ := splitStoreURL(c.StoreURL); scheme == "mem" || scheme == "tcp" {
-		return "report.json"
-	}
-	return filepath.Join(c.CacheDir, "report.json")
+	return "report.json"
+}
+
+// StoreScheme validates a -store URL and returns its scheme: "dir"
+// (dir:PATH), "mem" (mem:), "tcp" (tcp://host:port), or "" for the empty
+// URL, which disables caching. Commands that must tell backends apart
+// (campaign peer kinds, the store server's local backing) ask this rather
+// than parse the URL themselves.
+func StoreScheme(url string) (string, error) {
+	scheme, _, err := parseStore(url, 0)
+	return scheme, err
 }
 
 // FinishRun emits the run's observability output for command: the rendered
@@ -290,72 +278,85 @@ func DefaultCacheDir() string {
 	return ".rlibm-cache"
 }
 
-// splitStoreURL validates and splits a -store URL into scheme and rest.
-// The empty URL is valid (it defers to -cache-dir) and splits to ("", "").
-func splitStoreURL(url string) (scheme, rest string, _ error) {
+// parseStore validates a -store URL together with its -store-max-bytes
+// budget and splits the URL into scheme and rest. The empty URL is valid
+// (caching disabled) and splits to ("", "").
+func parseStore(url string, maxBytes int64) (scheme, rest string, _ error) {
 	switch {
 	case url == "":
-		return "", "", nil
 	case strings.HasPrefix(url, "dir:"):
-		if rest = strings.TrimPrefix(url, "dir:"); rest == "" {
+		if scheme, rest = "dir", strings.TrimPrefix(url, "dir:"); rest == "" {
 			return "", "", fmt.Errorf("invalid -store %q: dir: needs a path (e.g. dir:/var/cache/rlibm)", url)
 		}
-		return "dir", rest, nil
-	case url == "mem:" || url == "mem":
-		return "mem", "", nil
-	case strings.HasPrefix(url, "tcp://"), strings.HasPrefix(url, "tcp:"):
-		rest = strings.TrimPrefix(strings.TrimPrefix(url, "tcp://"), "tcp:")
-		if rest == "" {
-			return "", "", fmt.Errorf("invalid -store %q: tcp: needs host:port (e.g. tcp://localhost:7070)", url)
+	case url == "mem:":
+		scheme = "mem"
+	case strings.HasPrefix(url, "tcp://"):
+		if scheme, rest = "tcp", strings.TrimPrefix(url, "tcp://"); rest == "" {
+			return "", "", fmt.Errorf("invalid -store %q: tcp:// needs host:port (e.g. tcp://localhost:7070)", url)
 		}
-		return "tcp", rest, nil
 	default:
-		return "", "", fmt.Errorf("invalid -store %q: scheme must be dir:, mem: or tcp:", url)
+		return "", "", fmt.Errorf("invalid -store %q: must be dir:PATH, mem: or tcp://host:port (empty disables caching)", url)
 	}
+	if maxBytes < 0 {
+		return "", "", fmt.Errorf("invalid -store-max-bytes %d: must be at least 0 (0 disables eviction)", maxBytes)
+	}
+	// A remote client cannot evict for the server: its view of the store
+	// is one connection among many, so a client-side budget would evict
+	// peers' artifacts on partial information. Eviction for tcp:// stores
+	// belongs on the serving side.
+	if maxBytes > 0 && scheme == "tcp" {
+		return "", "", fmt.Errorf("invalid -store-max-bytes %d: must be at least 0 and used with a local store; a tcp:// store evicts server-side (rlibm-store -store-max-bytes)", maxBytes)
+	}
+	return scheme, rest, nil
 }
 
-// Store opens the artifact store selected by the flags: -store dir:/mem:/
-// tcp: when given, else the -cache-dir disk store. A nil store (with nil
-// error) means caching is disabled; every staged entry point accepts that
-// and computes in memory. The opened store is retained on c for FinishRun
-// (remote transport counters) and CloseStore.
-func (c *Common) Store() (pipeline.Store, error) {
-	if c.NoCache {
-		return nil, nil
-	}
-	if c.store != nil {
-		return c.store, nil
-	}
-	scheme, rest, err := splitStoreURL(c.StoreURL)
+// OpenStore opens the artifact store a -store URL names: the atomic-rename
+// disk store for dir:PATH, an ephemeral in-memory store for mem:, or a
+// connection to an rlibm-store server for tcp://host:port. A positive
+// maxBytes wraps a local store in an LRU EvictingStore with that byte
+// budget (claims pinned); with tcp:// it is rejected. The empty URL
+// disables caching: a nil store with a nil error, which every staged
+// entry point accepts and computes in memory.
+func OpenStore(url string, maxBytes int64) (pipeline.Store, error) {
+	scheme, rest, err := parseStore(url, maxBytes)
 	if err != nil {
 		return nil, err
 	}
-	if scheme == "" {
-		if c.CacheDir == "" {
-			return nil, nil
-		}
-		scheme, rest = "dir", c.CacheDir
-	}
+	var st pipeline.Store
 	switch scheme {
+	case "":
+		return nil, nil
 	case "dir":
-		st, oerr := pipeline.Open(rest)
-		if oerr != nil {
-			return nil, fmt.Errorf("open artifact cache: %w", oerr)
+		ds, err := pipeline.Open(rest)
+		if err != nil {
+			return nil, fmt.Errorf("open artifact cache: %w", err)
 		}
-		c.store = st
+		st = ds
 	case "mem":
-		c.store = pipeline.NewMemStore()
+		st = pipeline.NewMemStore()
 	case "tcp":
-		st, derr := pipeline.DialRemote(rest, 0)
-		if derr != nil {
-			return nil, derr
+		rs, err := pipeline.DialRemote(rest, 0)
+		if err != nil {
+			return nil, err
+		}
+		st = rs
+	}
+	if maxBytes > 0 {
+		st = pipeline.NewEvictingStore(st, maxBytes)
+	}
+	return st, nil
+}
+
+// Store opens the artifact store selected by -store and -store-max-bytes
+// (see OpenStore; nil means caching is disabled). The opened store is
+// retained on c for FinishRun (remote transport counters) and CloseStore.
+func (c *Common) Store() (pipeline.Store, error) {
+	if c.store == nil {
+		st, err := OpenStore(c.StoreURL, c.StoreMaxBytes)
+		if err != nil {
+			return nil, err
 		}
 		c.store = st
-	}
-	if c.StoreMaxBytes > 0 {
-		// Validate rejected tcp + -store-max-bytes, so this only wraps
-		// local backends.
-		c.store = pipeline.NewEvictingStore(c.store, c.StoreMaxBytes)
 	}
 	return c.store, nil
 }

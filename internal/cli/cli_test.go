@@ -121,17 +121,28 @@ func TestContextHonorsTimeout(t *testing.T) {
 func TestRegisterParsesSharedFlags(t *testing.T) {
 	fs := flag.NewFlagSet("test", flag.ContinueOnError)
 	c := cli.Register(fs)
-	args := []string{"-workers", "3", "-seed", "42", "-bits", "14", "-cache-dir", "/tmp/x", "-no-cache",
+	if want := "dir:" + cli.DefaultCacheDir(); c.StoreURL != want {
+		t.Errorf("default -store = %q, want %q", c.StoreURL, want)
+	}
+	args := []string{"-workers", "3", "-seed", "42", "-bits", "14", "-store", "",
 		"-timeout", "5s", "-v", "-report", "-cpuprofile", "/tmp/cpu.pprof", "-memprofile", "/tmp/mem.pprof"}
 	if err := fs.Parse(args); err != nil {
 		t.Fatalf("Parse: %v", err)
 	}
-	if c.Workers != 3 || c.Seed != 42 || c.Bits != 14 || c.CacheDir != "/tmp/x" || !c.NoCache {
+	if c.Workers != 3 || c.Seed != 42 || c.Bits != 14 || c.StoreURL != "" {
 		t.Errorf("parsed values %+v do not match %v", c, args)
 	}
 	if c.Timeout != 5*time.Second || !c.Verbose || !c.Report ||
 		c.CPUProfile != "/tmp/cpu.pprof" || c.MemProfile != "/tmp/mem.pprof" {
 		t.Errorf("parsed observability values %+v do not match %v", c, args)
+	}
+	// The shared surface is exactly these eleven flags: -store is the one
+	// store selector, and nothing else spells a store.
+	var names []string
+	fs.VisitAll(func(f *flag.Flag) { names = append(names, f.Name) })
+	want := "bits,cpuprofile,memprofile,report,seed,shard,store,store-max-bytes,timeout,v,workers"
+	if got := strings.Join(names, ","); got != want {
+		t.Errorf("shared flags = %s, want %s", got, want)
 	}
 }
 
@@ -169,8 +180,8 @@ func TestValidateMessageShape(t *testing.T) {
 
 func TestStoreDisabled(t *testing.T) {
 	for _, c := range []*cli.Common{
-		{NoCache: true, CacheDir: t.TempDir()},
-		{CacheDir: ""},
+		{},
+		{StoreURL: ""},
 	} {
 		st, err := c.Store()
 		if err != nil {
@@ -180,7 +191,7 @@ func TestStoreDisabled(t *testing.T) {
 			t.Errorf("Store(%+v) returned a live store; want nil (caching disabled)", c)
 		}
 	}
-	c := &cli.Common{CacheDir: t.TempDir()}
+	c := &cli.Common{StoreURL: "dir:" + t.TempDir()}
 	st, err := c.Store()
 	if err != nil || st == nil {
 		t.Errorf("Store with a cache dir: store=%v err=%v", st, err)

@@ -156,7 +156,7 @@ func TestReportCountersGolden(t *testing.T) {
 // report lands next to the artifact cache, carries the schema version, the
 // command name, the flag metadata, and the complete zero-filled taxonomy.
 func TestFinishRunWritesReport(t *testing.T) {
-	c := &cli.Common{CacheDir: t.TempDir(), Report: true, Workers: 2, Seed: 7, Bits: 12}
+	c := &cli.Common{StoreURL: "dir:" + t.TempDir(), Report: true, Workers: 2, Seed: 7, Bits: 12}
 	rec := c.NewRecorder()
 	if rec == nil {
 		t.Fatal("NewRecorder returned nil with -report set")
@@ -195,21 +195,37 @@ func TestFinishRunWritesReport(t *testing.T) {
 	}
 
 	// Caching disabled: the report falls back to the working directory.
-	c2 := &cli.Common{NoCache: true, Report: true}
+	c2 := &cli.Common{Report: true}
 	if got := c2.ReportPath(); got != "report.json" {
-		t.Errorf("ReportPath with -no-cache = %q, want report.json", got)
+		t.Errorf("ReportPath with -store= = %q, want report.json", got)
 	}
 
 	// Observability off: FinishRun is a no-op and NewRecorder stays nil.
-	c3 := &cli.Common{CacheDir: t.TempDir()}
+	dir3 := t.TempDir()
+	c3 := &cli.Common{StoreURL: "dir:" + dir3}
 	if rec := c3.NewRecorder(); rec != nil {
 		t.Errorf("NewRecorder returned a live recorder with -v and -report unset")
 	}
 	if err := c3.FinishRun(nil, "rlibm-test"); err != nil {
 		t.Errorf("FinishRun(nil): %v", err)
 	}
-	if _, err := os.Stat(filepath.Join(c3.CacheDir, "report.json")); !os.IsNotExist(err) {
+	if _, err := os.Stat(filepath.Join(dir3, "report.json")); !os.IsNotExist(err) {
 		t.Errorf("FinishRun(nil) wrote a report (stat err=%v)", err)
+	}
+}
+
+// TestReportPathFollowsStore pins where -report writes: inside the
+// directory of a dir: store, and the working directory for every other
+// store and for none.
+func TestReportPathFollowsStore(t *testing.T) {
+	d := t.TempDir()
+	if got, want := (&cli.Common{StoreURL: "dir:" + d}).ReportPath(), filepath.Join(d, "report.json"); got != want {
+		t.Errorf("ReportPath with -store dir:%s = %q, want %q", d, got, want)
+	}
+	for _, url := range []string{"mem:", "tcp://127.0.0.1:7070", ""} {
+		if got := (&cli.Common{StoreURL: url}).ReportPath(); got != "report.json" {
+			t.Errorf("ReportPath with -store %q = %q, want report.json", url, got)
+		}
 	}
 }
 
@@ -219,7 +235,7 @@ func TestFinishRunWritesReport(t *testing.T) {
 func evictingRun(t *testing.T, workers int) *obs.Report {
 	t.Helper()
 	dir := t.TempDir()
-	c := &cli.Common{StoreURL: "dir:" + dir, CacheDir: dir, StoreMaxBytes: 2 << 10,
+	c := &cli.Common{StoreURL: "dir:" + dir, StoreMaxBytes: 2 << 10,
 		Report: true, Workers: workers}
 	st, err := c.Store()
 	if err != nil {

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"net"
 	"os"
 	"path/filepath"
@@ -54,7 +55,7 @@ func startStoreServer(t *testing.T, backing pipeline.Store) string {
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		if err := pipeline.Serve(l, backing, nil); err != nil {
+		if err := pipeline.Serve(l, backing, pipeline.ServeOptions{}, nil); err != nil {
 			t.Errorf("Serve: %v", err)
 		}
 	}()
@@ -63,6 +64,57 @@ func startStoreServer(t *testing.T, backing pipeline.Store) string {
 		<-done
 	})
 	return l.Addr().String()
+}
+
+// TestOpenStore is the table of the one store selector: the URLs -store
+// accepts open the backend they name (a positive budget on a local store
+// wraps it in LRU eviction), everything else is rejected before any store
+// is opened, and Validate agrees with the opener on every row.
+func TestOpenStore(t *testing.T) {
+	addr := startStoreServer(t, pipeline.NewMemStore())
+	dir := t.TempDir()
+	for _, tc := range []struct {
+		url      string
+		maxBytes int64
+		want     string // %T of the opened store; "" means rejected
+	}{
+		{"dir:" + dir, 0, "*pipeline.DiskStore"},
+		{"mem:", 0, "*pipeline.MemStore"},
+		{"tcp://" + addr, 0, "*pipeline.RemoteStore"},
+		{"", 0, "<nil>"},
+		{"dir:" + dir, 1 << 20, "*pipeline.EvictingStore"},
+		{"mem:", 1 << 20, "*pipeline.EvictingStore"},
+		{"dir:", 0, ""},
+		{"tcp://", 0, ""},
+		{"mem", 0, ""},
+		{"tcp:" + addr, 0, ""},
+		{"s3://x", 0, ""},
+		{"tcp://" + addr, 1 << 20, ""},
+		{"mem:", -1, ""},
+	} {
+		st, err := cli.OpenStore(tc.url, tc.maxBytes)
+		if rs, ok := st.(*pipeline.RemoteStore); ok {
+			rs.Close()
+		}
+		verr := (&cli.Common{Workers: 1, Bits: 16, StoreURL: tc.url, StoreMaxBytes: tc.maxBytes}).Validate()
+		if tc.want == "" {
+			if err == nil || !strings.HasPrefix(err.Error(), "invalid -store") {
+				t.Errorf("OpenStore(%q, %d) = %T, %v; want an invalid -store… error", tc.url, tc.maxBytes, st, err)
+			}
+			if verr == nil {
+				t.Errorf("Validate accepted -store %q -store-max-bytes %d", tc.url, tc.maxBytes)
+			}
+			continue
+		}
+		if err != nil {
+			t.Errorf("OpenStore(%q, %d): %v", tc.url, tc.maxBytes, err)
+		} else if got := fmt.Sprintf("%T", st); got != tc.want {
+			t.Errorf("OpenStore(%q, %d) = %s, want %s", tc.url, tc.maxBytes, got, tc.want)
+		}
+		if verr != nil {
+			t.Errorf("Validate rejected -store %q -store-max-bytes %d: %v", tc.url, tc.maxBytes, verr)
+		}
+	}
 }
 
 // dialStore returns a remote client for addr, closed with the test.

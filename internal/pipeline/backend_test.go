@@ -3,7 +3,6 @@ package pipeline
 import (
 	"context"
 	"errors"
-	"net"
 	"sync"
 	"testing"
 	"time"
@@ -22,28 +21,11 @@ import (
 // down with the test.
 func startRemote(t *testing.T, backing Store) *RemoteStore {
 	t.Helper()
-	l, err := net.Listen("tcp", "127.0.0.1:0")
+	rs, err := DialRemote(startServe(t, backing, ServeOptions{}), 5*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		if err := Serve(l, backing, nil); err != nil {
-			t.Errorf("Serve: %v", err)
-		}
-	}()
-	rs, err := DialRemote(l.Addr().String(), 5*time.Second)
-	if err != nil {
-		l.Close()
-		<-done
-		t.Fatal(err)
-	}
-	t.Cleanup(func() {
-		rs.Close()
-		l.Close()
-		<-done
-	})
+	t.Cleanup(func() { rs.Close() })
 	return rs
 }
 

@@ -35,9 +35,6 @@ func Open(dir string) (*DiskStore, error) {
 	return &DiskStore{dir: dir}, nil
 }
 
-// Dir returns the store's root directory.
-func (s *DiskStore) Dir() string { return s.dir }
-
 // path derives the content address of an artifact: a hash of every key
 // component plus the codec identity, laid out as one directory per
 // function with human-scannable "<stage>-<address>.art" file names.

@@ -23,14 +23,7 @@ type ServeOptions struct {
 	IdleTimeout time.Duration
 }
 
-// Serve exposes a backing store over the framed-TCP wire protocol until
-// the listener is closed, with unlimited connections and no idle deadline.
-// See ServeWith.
-func Serve(l net.Listener, backing Store, logf Logf) error {
-	return ServeWith(l, backing, ServeOptions{}, logf)
-}
-
-// ServeWith exposes a backing store over the framed-TCP wire protocol
+// Serve exposes a backing store over the framed-TCP wire protocol
 // until the listener is closed: it accepts connections — concurrently, one
 // goroutine per connection, bounded by opts — and answers each request —
 // Get, Put, Delete, Audit — against backing, sealing every response in the
@@ -45,10 +38,10 @@ func Serve(l net.Listener, backing Store, logf Logf) error {
 //
 // A connection serves its own requests sequentially and is dropped on the
 // first malformed frame or idle timeout (the client's retry budget
-// re-establishes it). ServeWith returns once the listener is closed, after
+// re-establishes it). Serve returns once the listener is closed, after
 // in-flight connections have drained; the returned error is nil on a clean
 // shutdown.
-func ServeWith(l net.Listener, backing Store, opts ServeOptions, logf Logf) error {
+func Serve(l net.Listener, backing Store, opts ServeOptions, logf Logf) error {
 	if logf == nil {
 		logf = func(string, ...interface{}) {}
 	}

@@ -13,9 +13,9 @@ import (
 // their own goroutine, the connection cap drops the excess without harming
 // admitted clients, and the idle deadline reaps abandoned connections.
 
-// startServeWith serves backing with opts on a loopback listener and tears
+// startServe serves backing with opts on a loopback listener and tears
 // it down with the test. It returns the dial address.
-func startServeWith(t *testing.T, backing Store, opts ServeOptions) string {
+func startServe(t *testing.T, backing Store, opts ServeOptions) string {
 	t.Helper()
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -24,8 +24,8 @@ func startServeWith(t *testing.T, backing Store, opts ServeOptions) string {
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		if err := ServeWith(l, backing, opts, nil); err != nil {
-			t.Errorf("ServeWith: %v", err)
+		if err := Serve(l, backing, opts, nil); err != nil {
+			t.Errorf("Serve: %v", err)
 		}
 	}()
 	t.Cleanup(func() {
@@ -41,7 +41,7 @@ func startServeWith(t *testing.T, backing Store, opts ServeOptions) string {
 // -race this is the server's data-race gate.
 func TestServeConcurrentClients(t *testing.T) {
 	backing := NewMemStore()
-	addr := startServeWith(t, backing, ServeOptions{MaxConns: 16, IdleTimeout: time.Minute})
+	addr := startServe(t, backing, ServeOptions{MaxConns: 16, IdleTimeout: time.Minute})
 
 	shared := Key{Func: "exp2", Stage: "shared", Fingerprint: "s"}
 	sharedBytes := Seal(testCodec.Name, testCodec.Version, []byte{0xAA, 0xBB})
@@ -124,7 +124,7 @@ func rawRequest(conn net.Conn) error {
 // next connection is dropped without a response; closing an admitted
 // connection frees its slot for a new client.
 func TestServeConnectionCap(t *testing.T) {
-	addr := startServeWith(t, NewMemStore(), ServeOptions{MaxConns: 2})
+	addr := startServe(t, NewMemStore(), ServeOptions{MaxConns: 2})
 
 	dial := func() net.Conn {
 		t.Helper()
@@ -175,7 +175,7 @@ func TestServeConnectionCap(t *testing.T) {
 // TestServeIdleTimeout: a connection that never sends a frame is dropped
 // once the idle deadline passes, and new clients are unaffected.
 func TestServeIdleTimeout(t *testing.T) {
-	addr := startServeWith(t, NewMemStore(), ServeOptions{IdleTimeout: 50 * time.Millisecond})
+	addr := startServe(t, NewMemStore(), ServeOptions{IdleTimeout: 50 * time.Millisecond})
 
 	idle, err := net.Dial("tcp", addr)
 	if err != nil {

@@ -2,9 +2,14 @@ package serve
 
 import (
 	"bytes"
+	"encoding/json"
+	"net/http"
+	"net/http/httptest"
 	"reflect"
+	"slices"
 	"testing"
 
+	"repro/internal/libm"
 	"repro/internal/pipeline"
 )
 
@@ -47,6 +52,68 @@ func FuzzBulkWire(f *testing.F) {
 					t.Fatalf("response re-decode: err=%v got %+v want %+v", err, resp2, resp)
 				}
 			}
+		}
+	})
+}
+
+// FuzzEvalHTTP posts arbitrary bodies to POST /eval through the server's
+// own handler over the baked-in tables. The invariants:
+//
+//   - the handler never panics and never answers 500 or the catch-all
+//     "internal" code: every bad body is a typed 4xx;
+//   - a 200 response carries exactly one output per input, each the bits
+//     libm's batch kernel gives for it.
+//
+// The seeds under testdata/fuzz/FuzzEvalHTTP pin a valid request, an
+// unknown function, a format wider than the tables, an input that is not
+// a bit pattern of its format, and truncated JSON.
+func FuzzEvalHTTP(f *testing.F) {
+	s, err := New(Config{})
+	if err != nil {
+		f.Fatal(err)
+	}
+	h := s.handler()
+	f.Fuzz(func(t *testing.T, body []byte) {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/eval", bytes.NewReader(body)))
+		if rec.Code != http.StatusOK {
+			var eb errorBody
+			if err := json.Unmarshal(rec.Body.Bytes(), &eb); err != nil {
+				t.Fatalf("status %d with a body that is not the error envelope: %q", rec.Code, rec.Body)
+			}
+			if rec.Code >= 500 || eb.Error.Code == "internal" {
+				t.Fatalf("status %d code %q for body %q: %s", rec.Code, eb.Error.Code, body, eb.Error.Message)
+			}
+			return
+		}
+		var resp struct {
+			Outputs []uint64 `json:"outputs"`
+		}
+		if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
+			t.Fatalf("200 with an undecodable body %q: %v", rec.Body, err)
+		}
+		// The handler decoded the same body the same way to answer 200.
+		var p evalPayload
+		if err := json.NewDecoder(bytes.NewReader(body)).Decode(&p); err != nil {
+			t.Fatalf("200 for a body the payload decoder rejects: %v", err)
+		}
+		req, err := parseRequest(p)
+		if err != nil {
+			t.Fatalf("200 for a request parseRequest rejects: %v", err)
+		}
+		if len(resp.Outputs) != len(req.Inputs) {
+			t.Fatalf("%d outputs for %d inputs", len(resp.Outputs), len(req.Inputs))
+		}
+		xs := make([]float64, len(req.Inputs))
+		for i, b := range req.Inputs {
+			xs[i] = req.Out.Decode(b)
+		}
+		want := make([]uint64, len(xs))
+		if err := libm.EvalBatch(req.Fn, want, xs, req.Out, req.Mode); err != nil {
+			t.Fatalf("libm.EvalBatch after a 200: %v", err)
+		}
+		if !slices.Equal(resp.Outputs, want) {
+			t.Fatalf("outputs %v, libm %v", resp.Outputs, want)
 		}
 	})
 }
