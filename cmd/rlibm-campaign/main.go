@@ -13,7 +13,9 @@
 // @rlibm-campaign-unit JSON lines and finish with one @rlibm-campaign-peer
 // line. A store only this process can reach — mem:, or caching disabled —
 // gets goroutine peers sharing it. Either way campaign.Run relaunches a
-// peer that dies up to -max-restarts times.
+// peer that dies up to -max-restarts times. A -store-max-bytes budget on a
+// dir: store is rejected, since no one subprocess peer could hold it: give
+// the budget to an rlibm-store serving the directory instead.
 //
 // Typical 2-peer campaign against a shared eviction-bounded store:
 //
@@ -68,6 +70,9 @@ func main() {
 	)
 	flag.Parse()
 	if err := common.Validate(); err != nil {
+		log.Fatal(err)
+	}
+	if err := checkPeerBudget(common.StoreURL, common.StoreMaxBytes); err != nil {
 		log.Fatal(err)
 	}
 	if *peers < 1 {
@@ -160,6 +165,19 @@ func main() {
 	if rep != nil && !rep.Correct() {
 		os.Exit(1)
 	}
+}
+
+// checkPeerBudget rejects a byte budget on a dir: store: each subprocess
+// peer opens the directory itself, so none would hold the budget, and one
+// forwarded to every peer would evict on a partial view. Like a budget over
+// tcp://, it belongs to the rlibm-store serving the directory.
+func checkPeerBudget(url string, maxBytes int64) error {
+	if scheme, err := cli.StoreScheme(url); err != nil || scheme != "dir" || maxBytes <= 0 {
+		return err
+	}
+	return fmt.Errorf("invalid -store-max-bytes %d with -store %s: subprocess peers would each open the directory without the budget; "+
+		"serve it with rlibm-store -store %s -store-max-bytes %d and run rlibm-campaign -store tcp://host:port",
+		maxBytes, url, url, maxBytes)
 }
 
 // runWorkerMode is the subprocess peer: one RunWorker pass, streaming

@@ -73,3 +73,28 @@ func TestReadPeerOutput(t *testing.T) {
 		})
 	}
 }
+
+// TestCheckPeerBudget pins which store and budget pairs the driver accepts:
+// a budget on a dir: store is refused before any peer starts, with the
+// served-store recipe in the message, and every other pair passes through.
+func TestCheckPeerBudget(t *testing.T) {
+	for _, tc := range []struct {
+		url      string
+		maxBytes int64
+		wantErr  string
+	}{
+		{url: "dir:/tmp/c", maxBytes: 4096, wantErr: "rlibm-store -store dir:/tmp/c -store-max-bytes 4096"},
+		{url: "dir:/tmp/c"},
+		{url: "mem:", maxBytes: 4096},
+		{url: "", maxBytes: 4096},
+		{url: "tcp://127.0.0.1:7070"},
+	} {
+		err := checkPeerBudget(tc.url, tc.maxBytes)
+		switch {
+		case tc.wantErr == "" && err != nil:
+			t.Errorf("checkPeerBudget(%q, %d) = %v, want nil", tc.url, tc.maxBytes, err)
+		case tc.wantErr != "" && (err == nil || !strings.Contains(err.Error(), tc.wantErr)):
+			t.Errorf("checkPeerBudget(%q, %d) = %v, want an error naming %q", tc.url, tc.maxBytes, err, tc.wantErr)
+		}
+	}
+}

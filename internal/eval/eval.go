@@ -6,11 +6,15 @@
 // concrete range-reduction scheme with its per-function constants resolved,
 // the rounding constants precomputed (fp.Rounder), and the special-input
 // table rebuilt as an open-addressed bit-pattern hash — so Kernel.EvalBatch
-// amortizes all of it over slices with zero allocations, zero interface
-// calls and no binary search in the loop. EvalBatch picks the reduction
-// family once per batch and runs one of four loops (log, exp, sinh/cosh,
-// sinpi/cospi), each calling its concrete scheme's methods directly and
-// evaluating exactly the family's one or two polynomials.
+// amortizes all of it over slices with zero allocations and zero interface
+// calls in the loop. EvalBatch picks the reduction family once per batch
+// and runs one of four loops (log, exp, sinh/cosh, sinpi/cospi), each
+// calling its concrete scheme's methods directly and evaluating exactly the
+// family's one or two polynomials. The per-input state stays in registers:
+// reduction.Ctx is four float64 fields, each family's monomial structure is
+// fixed (the two-polynomial loops share one r²), and every polynomial is
+// the inlined poly.Horner over the owning piece's prefix — found without a
+// search when, as for every shipped table, there is one piece.
 //
 // Correctness contract: for every input x of the compiled level's format,
 // EvalBatch produces exactly the bits gen.Result.Eval produces — the
@@ -30,6 +34,7 @@ import (
 	"repro/internal/fp"
 	"repro/internal/gen"
 	"repro/internal/obs"
+	"repro/internal/poly"
 	"repro/internal/reduction"
 )
 
@@ -39,24 +44,27 @@ var ErrTooWide = errors.New("output format wider than the generated levels")
 
 // flatPoly is one kernel polynomial flattened for the hot loop: the
 // truncated coefficient prefixes of every piece concatenated into one
-// contiguous array, piece upper bounds in a parallel slice, and the
-// monomial structure lowered to two booleans.
+// contiguous array, with the piece upper bounds in a parallel slice. The
+// monomial structure is not stored: each family loop hard-codes its
+// scheme's (Dense, or Even and Odd), and CompileAt rejects tables whose
+// structure differs.
 type flatPoly struct {
 	bounds []float64 // pieces[i] owns r < bounds[i]; the last piece owns the rest
 	coeffs []float64 // concatenated truncated coefficient prefixes
 	off    []int     // piece i's coefficients are coeffs[off[i]:off[i+1]]
-	square bool      // stride-2 structure: Horner runs on r²
-	odd    bool      // offset-1 structure: result multiplied by r
 }
 
-// eval evaluates the flattened polynomial at the reduced input r, exactly
-// as poly.Structure.Eval evaluates the truncated prefix: same piece
-// selection rule (gen's binary search over the piece bounds, so the
-// 256-piece RLibm-All baselines stay logarithmic), same Horner order, term
-// for term.
+// piece returns the coefficient prefix of the piece owning the reduced
+// input r. A one-piece polynomial (every shipped kernel) returns its only
+// prefix without a search; otherwise gen's piece selection rule applies, a
+// binary search over the piece bounds, so the 256-piece RLibm-All
+// baselines stay logarithmic.
 //
 //evalhot:loop
-func (f *flatPoly) eval(r float64) float64 {
+func (f *flatPoly) piece(r float64) []float64 {
+	if len(f.bounds) == 1 {
+		return f.coeffs
+	}
 	i, hi := 0, len(f.bounds)-1
 	for i < hi {
 		mid := int(uint(i+hi) >> 1)
@@ -66,22 +74,7 @@ func (f *flatPoly) eval(r float64) float64 {
 			i = mid + 1
 		}
 	}
-	c := f.coeffs[f.off[i]:f.off[i+1]]
-	u := r
-	if f.square {
-		u = r * r
-	}
-	var v float64
-	if n := len(c); n > 0 {
-		v = c[n-1]
-		for j := n - 2; j >= 0; j-- {
-			v = v*u + c[j]
-		}
-	}
-	if f.odd {
-		v = r * v
-	}
-	return v
+	return f.coeffs[f.off[i]:f.off[i+1]]
 }
 
 // specialEmpty is the empty-slot sentinel of the special-input hash table:
@@ -244,6 +237,9 @@ func CompileAt(res *gen.Result, li int, out fp.Format, mode fp.Mode) (*Kernel, e
 		return nil, fmt.Errorf("eval: %v: no batch loop for scheme %T", res.Fn, s)
 	}
 	for pi := range res.Kernels {
+		if got, want := res.Kernels[pi].Structure, scheme.Structure(pi); got != want {
+			return nil, fmt.Errorf("eval: %v kernel %d: structure %+v, the scheme's is %+v", res.Fn, pi, got, want)
+		}
 		flat, err := flatten(&res.Kernels[pi], li)
 		if err != nil {
 			return nil, fmt.Errorf("eval: %v kernel %d: %w", res.Fn, pi, err)
@@ -260,18 +256,10 @@ func CompileAt(res *gen.Result, li int, out fp.Format, mode fp.Mode) (*Kernel, e
 
 // flatten snapshots one kernel polynomial's pieces at level li.
 func flatten(kp *gen.KernelPoly, li int) (flatPoly, error) {
-	s := kp.Structure
-	if s.Stride < 1 || s.Stride > 2 || s.Offset < 0 || s.Offset > 1 {
-		return flatPoly{}, fmt.Errorf("unsupported structure %+v", s)
-	}
 	if len(kp.Pieces) == 0 {
 		return flatPoly{}, errors.New("no pieces")
 	}
-	f := flatPoly{
-		square: s.Stride == 2,
-		odd:    s.Offset == 1,
-		off:    make([]int, 1, len(kp.Pieces)+1),
-	}
+	f := flatPoly{off: make([]int, 1, len(kp.Pieces)+1)}
 	for _, p := range kp.Pieces {
 		if li >= len(p.LevelTerms) {
 			return flatPoly{}, fmt.Errorf("piece has %d level term counts, level %d requested", len(p.LevelTerms), li)
@@ -363,7 +351,9 @@ func (k *Kernel) evalLoop(dst []uint64, src []float64) (specials, polys int64) {
 
 // The four family loops below are the batch hot loops. Each calls its
 // concrete scheme's Reduce, Special and Compensate directly (Compensate
-// inlines) and evaluates the family's one or two polynomials. They are
+// inlines) and evaluates the family's one or two polynomials with the
+// structure CompileAt checked: Dense for log and exp, Even and Odd on a
+// shared u = r² for the two-polynomial families. They are
 // written out rather than shared through a generic loop: Go instantiates
 // generics per GC shape, so a generic loop would call the scheme methods
 // through a dictionary instead of directly. The evalhot analyzer of rlibm-lint enforces their
@@ -388,7 +378,8 @@ func (k *Kernel) logLoop(dst []uint64, src []float64) (specials, polys int64) {
 			specials++
 			continue
 		}
-		dst[i] = k.rnd.Round(s.Compensate(ctx, p.eval(ctx.R), 0))
+		r := ctx.R
+		dst[i] = k.rnd.Round(s.Compensate(ctx, poly.Horner(p.piece(r), r), 0))
 		polys++
 	}
 	return specials, polys
@@ -411,7 +402,8 @@ func (k *Kernel) expLoop(dst []uint64, src []float64) (specials, polys int64) {
 			specials++
 			continue
 		}
-		dst[i] = k.rnd.Round(s.Compensate(ctx, p.eval(ctx.R), 0))
+		r := ctx.R
+		dst[i] = k.rnd.Round(s.Compensate(ctx, poly.Horner(p.piece(r), r), 0))
 		polys++
 	}
 	return specials, polys
@@ -434,7 +426,11 @@ func (k *Kernel) sinhCoshLoop(dst []uint64, src []float64) (specials, polys int6
 			specials++
 			continue
 		}
-		dst[i] = k.rnd.Round(s.Compensate(ctx, p0.eval(ctx.R), p1.eval(ctx.R)))
+		r := ctx.R
+		u := r * r
+		y0 := poly.Horner(p0.piece(r), u)     // Even
+		y1 := r * poly.Horner(p1.piece(r), u) // Odd
+		dst[i] = k.rnd.Round(s.Compensate(ctx, y0, y1))
 		polys++
 	}
 	return specials, polys
@@ -457,7 +453,11 @@ func (k *Kernel) sinCosPiLoop(dst []uint64, src []float64) (specials, polys int6
 			specials++
 			continue
 		}
-		dst[i] = k.rnd.Round(s.Compensate(ctx, p0.eval(ctx.R), p1.eval(ctx.R)))
+		r := ctx.R
+		u := r * r
+		y0 := poly.Horner(p0.piece(r), u)     // Even
+		y1 := r * poly.Horner(p1.piece(r), u) // Odd
+		dst[i] = k.rnd.Round(s.Compensate(ctx, y0, y1))
 		polys++
 	}
 	return specials, polys

@@ -12,6 +12,7 @@ import (
 	"repro/internal/gen"
 	"repro/internal/libm"
 	"repro/internal/obs"
+	"repro/internal/poly"
 )
 
 // compileFor compiles the serving kernel of (fn, out, mode) from the
@@ -302,6 +303,20 @@ func TestCompileErrors(t *testing.T) {
 	}
 	if _, err := eval.CompileAt(res, -1, fp.Bfloat16, fp.RoundNearestEven); err == nil {
 		t.Fatal("CompileAt(-1) succeeded")
+	}
+	// The family loops hard-code each scheme's monomial structure, so a
+	// table with any other structure must be refused.
+	for _, fn := range []bigmath.Func{bigmath.Log2, bigmath.SinPi} {
+		src, err := libm.Progressive(fn)
+		if err != nil {
+			t.Skip(err)
+		}
+		kernels := append([]gen.KernelPoly(nil), src.Kernels...)
+		kernels[0].Structure = poly.Odd
+		bad := &gen.Result{Fn: fn, Levels: src.Levels, Kernels: kernels, Specials: src.Specials, ProgressiveRO: src.ProgressiveRO}
+		if _, err := eval.CompileAt(bad, 0, src.Levels[0], fp.RoundNearestEven); err == nil {
+			t.Fatalf("%v: CompileAt with an odd kernel 0 succeeded", fn)
+		}
 	}
 }
 

@@ -14,7 +14,10 @@ import (
 // The polynomial approximates exp(r) (resp. 2^r, 10^r).
 //
 // Compensation: with N = 64q + j, result = 2^q · (y · 2^(j/64)) using the
-// 64-entry correctly rounded table. Monotonically nondecreasing in y.
+// 64-entry correctly rounded table. Monotonically nondecreasing in y. The
+// cutoffs keep q within [-158, 131] for every input Reduce accepts, so 2^q
+// is a normal double built from its bits (Ctx.B) and the scaling is one
+// multiplication, bit-identical to math.Ldexp (TestExpScaleIsNormal).
 //
 // Cutoffs (|E| = 8 family, round-to-odd formats up to 36 bits): inputs
 // whose results certainly exceed 2^129 take the +MaxFloat64 overflow proxy;
@@ -87,11 +90,11 @@ func (s ExpScheme) Reduce(x float64) (Ctx, bool) {
 	r := (x - n*s.cHi) - n*s.cLo // exact for exp2
 	ni := int(n)
 	q, j := ni>>6, ni&63
-	return Ctx{R: r, T: exp2J[j], E: q}, true
+	return Ctx{R: r, A: exp2J[j], B: math.Float64frombits(uint64(q+1023) << 52)}, true
 }
 
 func (s ExpScheme) Compensate(ctx Ctx, y0, _ float64) float64 {
-	return scale(y0*ctx.T, ctx.E)
+	return y0 * ctx.A * ctx.B
 }
 
 // scale returns math.Ldexp(y, e). For normal-range e it multiplies by the

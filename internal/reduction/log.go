@@ -15,7 +15,7 @@ import (
 // giving r ∈ [0, 1/128]. The polynomial approximates log(1+r).
 //
 // Compensation: result = (e·log(2) + logF[j]) + y, with the first sum
-// precomputed into Ctx.T using the same float64 operations the library
+// precomputed into Ctx.A using the same float64 operations the library
 // performs. Strictly increasing in y.
 //
 // The constructor resolves log(2) and the log(F) table once. log2's
@@ -55,7 +55,7 @@ func (s LogScheme) Reduce(x float64) (Ctx, bool) {
 	j := int((m - 1) * 128) // floor; exact scaling by a power of two
 	F := 1 + float64(j)/128
 	r := (m - F) * recipF[j] // m-F exact (Sterbenz)
-	return Ctx{R: r, T: float64(e)*s.logOf2 + s.logF[j]}, true
+	return Ctx{R: r, A: float64(e)*s.logOf2 + s.logF[j]}, true
 }
 
 // logSplit returns m ∈ [1,2) and e with x = m·2^e, for finite x > 0, from
@@ -72,7 +72,7 @@ func logSplit(x float64) (m float64, e int) {
 }
 
 func (s LogScheme) Compensate(ctx Ctx, y0, _ float64) float64 {
-	return ctx.T + y0
+	return ctx.A + y0
 }
 
 // Special may be arbitrarily slow: the batch kernel reaches it only for

@@ -8,19 +8,25 @@ import (
 	"repro/internal/poly"
 )
 
-// Ctx carries the per-input reduction state from Reduce to Compensate. Its
-// interpretation is scheme-specific; it is a plain value so the hot paths
-// allocate nothing.
+// Ctx carries the per-input reduction state from Reduce to Compensate. It
+// is a plain value so the hot paths allocate nothing, and it has four
+// float64 fields because Go's SSA backend keeps only structs of at most four
+// fields in registers: a wider Ctx is spilled to a stack slot on every
+// Reduce and reloaded for Compensate, a store-forwarding stall in the batch
+// kernel's loop (pinned by TestCtxFitsRegisters). The fields mean, per
+// family:
+//
+//	log:         R = r, A = e·log(2) + log(F), the additive term.
+//	exp:         R = r, A = 2^(j/64), B = 2^q built from its bits.
+//	sinh/cosh:   R = r, result = Sign·(A·y0 + B·y1).
+//	sinpi/cospi: R = r, result = Sign·(A·y0 + B·y1).
+//
+// Fields a family does not use are zero.
 type Ctx struct {
 	// R is the reduced polynomial input.
 	R float64
-	// A and B are the affine kernel multipliers of two-polynomial schemes.
+	// A and B are the family's compensation multipliers or terms.
 	A, B float64
-	// T is the additive term (log family) or the 2^(j/64) factor
-	// (exponential family).
-	T float64
-	// E is the binary scaling exponent q of the exponential family.
-	E int
 	// Sign is the final sign multiplier of two-polynomial schemes.
 	Sign float64
 }
