@@ -38,8 +38,9 @@
 //     the five IEEE rounding modes and round-to-odd.
 //   - internal/bigmath — arbitrary-precision elementary functions (the
 //     MPFR substitute) for the ten generated functions.
-//   - internal/oracle — the correctly rounded oracle: Ziv precision
-//     escalation over bigmath, lock-striped result caches.
+//   - internal/oracle — the correctly rounded oracle, in two phases: a
+//     double-double quick phase (internal/dd), then Ziv precision
+//     escalation over bigmath for the queries it cannot decide.
 //   - internal/interval — per-input rounding intervals, the round-to-odd
 //     construction that makes one polynomial serve all five modes.
 //   - internal/reduction — production range reduction, output

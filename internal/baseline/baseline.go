@@ -112,14 +112,12 @@ func (c CRLibm) Value(x float64, mode fp.Mode) float64 {
 	w := c.working()
 	v := dd.Eval(c.Fn, x)
 	if math.IsNaN(v.Hi) || math.IsInf(v.Hi, 0) || v.Hi == 0 {
+		// Special values pass through as the double library returns them.
 		return w.Decode(w.FromFloat64(v.Hi, mode))
 	}
-	// Subnormal-adjacent working results lose the dd error structure:
-	// straight to the slow path.
-	if math.Abs(v.Hi) > math.Ldexp(1, -960) {
-		if bits, ok := roundDDUnambiguous(w, v, mode); ok {
-			return w.Decode(bits)
-		}
+	// Ziv step one, then the arbitrary-precision step two.
+	if bits, ok := dd.RoundUnambiguous(v, w, mode); ok {
+		return w.Decode(bits)
 	}
 	return w.Decode(bigmath.CorrectlyRounded(c.Fn, x, w, mode))
 }
@@ -129,18 +127,4 @@ func (c CRLibm) Value(x float64, mode fp.Mode) float64 {
 // narrower targets exactly like re-purposed CR-LIBM.
 func (c CRLibm) Bits(x float64, out fp.Format, mode fp.Mode) uint64 {
 	return out.FromFloat64(c.Value(x, mode), mode)
-}
-
-// roundDDUnambiguous rounds the exact sum v.Hi+v.Lo into w under mode,
-// reporting failure when the dd error envelope (2^-58 relative) straddles a
-// rounding boundary — the Ziv step-one test, entirely in fixed-width
-// arithmetic via fp.FromSum.
-func roundDDUnambiguous(w fp.Format, v dd.DD, mode fp.Mode) (uint64, bool) {
-	eps := math.Abs(v.Hi) * 0x1p-58
-	a := w.FromSum(v.Hi, v.Lo-eps, mode)
-	b := w.FromSum(v.Hi, v.Lo+eps, mode)
-	if a != b {
-		return 0, false
-	}
-	return a, true
 }

@@ -166,6 +166,8 @@ func TestExactValue(t *testing.T) {
 		{Ln, 1, 0}, {Ln, 2, none}, {Ln, math.E, none},
 		{Log2, 8, 3}, {Log2, 0.25, -2}, {Log2, 1, 0}, {Log2, 3, none},
 		{Log10, 1, 0}, {Log10, 100, 2}, {Log10, 0.1, none}, {Log10, 99, none},
+		{Log10, 1e22, 22}, {Log10, math.Nextafter(1e22, 2e22), none},
+		{Log10, 1e23, none}, {Log10, 1e30, none}, // not exact powers of ten
 		{Exp, 0, 1}, {Exp, 1, none},
 		{Exp2, 5, 32}, {Exp2, -3, 0.125}, {Exp2, 0.5, none},
 		{Exp10, 2, 100}, {Exp10, 0, 1}, {Exp10, -1, none}, {Exp10, 1.5, none},

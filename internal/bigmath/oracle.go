@@ -97,13 +97,12 @@ func ExactValue(f Func, x float64) (*big.Float, bool) {
 			}
 		}
 	case Log10:
-		if x > 0 {
+		// 10^k = 2^k·5^k is a double only for 0 ≤ k ≤ 22, where 5^k fits
+		// in 53 bits, and math.Pow10 returns those powers exactly.
+		if x >= 1 && x <= 1e22 {
 			k := math.Round(math.Log10(x))
-			if k >= 0 && k < 40 {
-				p := new(big.Int).Exp(big.NewInt(10), big.NewInt(int64(k)), nil)
-				if v := new(big.Float).SetPrec(uint(p.BitLen()) + 1).SetInt(p); v.Cmp(new(big.Float).SetPrec(53).SetFloat64(x)) == 0 {
-					return new(big.Float).SetPrec(64).SetInt64(int64(k)), true
-				}
+			if math.Float64bits(x) == math.Float64bits(math.Pow10(int(k))) {
+				return new(big.Float).SetPrec(64).SetInt64(int64(k)), true
 			}
 		}
 	case Exp:

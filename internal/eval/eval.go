@@ -51,7 +51,7 @@ var ErrTooWide = errors.New("output format wider than the generated levels")
 type flatPoly struct {
 	bounds []float64 // pieces[i] owns r < bounds[i]; the last piece owns the rest
 	coeffs []float64 // concatenated truncated coefficient prefixes
-	off    []int     // piece i's coefficients are coeffs[off[i]:off[i+1]]
+	off    []int     // piece i's coefficients are coeffs[off[i]:off[i+1]]; nil for one piece
 }
 
 // piece returns the coefficient prefix of the piece owning the reduced
@@ -88,9 +88,15 @@ const specialEmpty = 0
 // most half full, so lookups terminate in a couple of data-dependent probes
 // with no comparisons against NaN-hostile float keys.
 type specialTable struct {
-	mask uint64
-	keys []uint64
-	vals []float64
+	mask  uint64
+	slots []specialSlot
+}
+
+// specialSlot is one hash-table entry; a key and its proxy share a cache
+// line, and the whole table is one allocation.
+type specialSlot struct {
+	key   uint64
+	proxy float64
 }
 
 // specialHash mixes the input bit pattern (the 64-bit finalizer of
@@ -105,28 +111,30 @@ func specialHash(b uint64) uint64 {
 	return b
 }
 
+// noSpecials backs every empty special table: one empty slot, never
+// written.
+var noSpecials [1]specialSlot
+
 // buildSpecials compiles one level's special-input list into a hash table.
 func buildSpecials(sp []gen.SpecialInput) (specialTable, error) {
+	if len(sp) == 0 {
+		return specialTable{slots: noSpecials[:]}, nil
+	}
 	size := 1
 	for size < 2*len(sp) {
 		size <<= 1
 	}
-	t := specialTable{
-		mask: uint64(size - 1),
-		keys: make([]uint64, size),
-		vals: make([]float64, size),
-	}
+	t := specialTable{mask: uint64(size - 1), slots: make([]specialSlot, size)}
 	for _, s := range sp {
 		bits := math.Float64bits(s.X)
 		if bits == specialEmpty || math.IsNaN(s.X) || math.IsInf(s.X, 0) {
 			return specialTable{}, fmt.Errorf("eval: special-input key %v is not a regular input", s.X)
 		}
 		i := specialHash(bits) & t.mask
-		for t.keys[i] != specialEmpty && t.keys[i] != bits {
+		for t.slots[i].key != specialEmpty && t.slots[i].key != bits {
 			i = (i + 1) & t.mask
 		}
-		t.keys[i] = bits
-		t.vals[i] = s.Proxy
+		t.slots[i] = specialSlot{bits, s.Proxy}
 	}
 	return t, nil
 }
@@ -139,11 +147,11 @@ func buildSpecials(sp []gen.SpecialInput) (specialTable, error) {
 func (t *specialTable) lookup(bits uint64) (float64, bool) {
 	i := specialHash(bits) & t.mask
 	for {
-		k := t.keys[i]
-		if k == bits {
-			return t.vals[i], true
+		e := &t.slots[i]
+		if e.key == bits {
+			return e.proxy, true
 		}
-		if k == specialEmpty {
+		if e.key == specialEmpty {
 			return 0, false
 		}
 		i = (i + 1) & t.mask
@@ -259,17 +267,25 @@ func flatten(kp *gen.KernelPoly, li int) (flatPoly, error) {
 	if len(kp.Pieces) == 0 {
 		return flatPoly{}, errors.New("no pieces")
 	}
-	f := flatPoly{off: make([]int, 1, len(kp.Pieces)+1)}
+	n, terms := len(kp.Pieces), 0
 	for _, p := range kp.Pieces {
 		if li >= len(p.LevelTerms) {
 			return flatPoly{}, fmt.Errorf("piece has %d level term counts, level %d requested", len(p.LevelTerms), li)
 		}
-		terms := p.LevelTerms[li]
-		if terms > len(p.Coeffs) {
-			terms = len(p.Coeffs) // HornerTerms clamps the same way
+		terms += min(p.LevelTerms[li], len(p.Coeffs)) // HornerTerms clamps the same way
+	}
+	// The bounds and the coefficients share one allocation; a one-piece
+	// polynomial (every shipped kernel) needs no offsets.
+	buf := make([]float64, n+terms)
+	f := flatPoly{bounds: buf[:0:n], coeffs: buf[n:n]}
+	if n > 1 {
+		f.off = make([]int, 1, n+1)
+	}
+	for _, p := range kp.Pieces {
+		f.coeffs = append(f.coeffs, p.Coeffs[:min(p.LevelTerms[li], len(p.Coeffs))]...)
+		if f.off != nil {
+			f.off = append(f.off, len(f.coeffs))
 		}
-		f.coeffs = append(f.coeffs, p.Coeffs[:terms]...)
-		f.off = append(f.off, len(f.coeffs))
 		f.bounds = append(f.bounds, p.Hi)
 	}
 	return f, nil

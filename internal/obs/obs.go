@@ -73,8 +73,8 @@ const (
 	// Oracle query paths (internal/oracle; recorded as a per-function
 	// Stats delta by internal/cli).
 	CtrOracleQueries        Counter = "oracle.queries"         // total queries answered
-	CtrOracleCacheHits      Counter = "oracle.cache_hits"      // identity-sharing cache answers
-	CtrOracleZivEscalations Counter = "oracle.ziv_escalations" // shared-path answers too ambiguous to round
+	CtrOracleQuick          Counter = "oracle.quick"           // quick-phase (double-double) answers
+	CtrOracleZivEscalations Counter = "oracle.ziv_escalations" // quick-phase misses sent to the Ziv loop
 	CtrOracleFullEvals      Counter = "oracle.full_evals"      // full Ziv evaluations
 	CtrOracleShortcuts      Counter = "oracle.shortcuts"       // special/exact/clamp/anchor answers
 
@@ -133,7 +133,7 @@ func Taxonomy() []Counter {
 		CtrClarksonAttempts, CtrClarksonIters, CtrClarksonSamples,
 		CtrClarksonWeightDoublings, CtrClarksonExactSolves,
 		CtrRescueSeedRotations, CtrRescueBudgetEscalations, CtrRescueDegradations,
-		CtrOracleQueries, CtrOracleCacheHits, CtrOracleZivEscalations,
+		CtrOracleQueries, CtrOracleQuick, CtrOracleZivEscalations,
 		CtrOracleFullEvals, CtrOracleShortcuts,
 		CtrRowsEnumerated, CtrRowsReduced,
 		CtrSpecialsResolved, CtrVerifyPatched,

@@ -3,62 +3,56 @@
 //
 // RLIBM-Prog computes the oracle result of f(x) for every input of every
 // representation of interest — hundreds of millions of MPFR calls in the
-// paper's setting. The same enumeration in pure Go needs structural
-// accelerations to stay laptop-feasible on one core; each is exact, not
-// approximate:
+// paper's setting. The same enumeration in pure Go stays laptop-feasible on
+// one core because a query is answered in two phases, as CR-LIBM does. Each
+// step is exact, not approximate:
 //
-//   - identity sharing: log(m·2^e) splits into a per-mantissa series value
-//     (cached) plus an exact e·constant term; sinπ/cosπ reduce exactly to a
-//     small set of z = |x| mod 2 values (cached);
-//   - range clamps: exponential-family results beyond the target's finite
-//     range round identically to a saturated proxy value;
-//   - anchor shortcuts: where |f(x) − a| is provably below half an output
-//     ulp of a representable anchor a (e^x near 1, sinh x near x, cosh x
-//     near 1), the rounded result is decided directly from the direction of
-//     the residual.
-//
-// Everything else falls through to the Ziv loop in bigmath.
+//   - shortcuts first: special values, number-theoretically exact results,
+//     range clamps (exponential-family results beyond the target's finite
+//     range round identically to a saturated proxy value) and anchors
+//     (where |f(x) − a| is provably below half an output ulp of a
+//     representable anchor a — e^x near 1, sinh x near x, cosh x and
+//     cos πx near 1 — the rounded result is decided directly from the
+//     direction of the residual);
+//   - the quick phase: dd.Eval's double-double value, rounded by
+//     dd.RoundUnambiguous when its error envelope lies inside one rounding
+//     interval of the target;
+//   - the Ziv loop in bigmath, only for the queries whose envelope
+//     straddles a rounding boundary.
 //
 // # Concurrency
 //
 // An Oracle is safe for concurrent use by multiple goroutines: the sharded
 // enumeration and verification pipelines issue Result queries from every
-// worker against one shared instance. The identity-sharing caches are
-// lock-striped maps of immutable *big.Float values (two workers racing on
-// the same key may both compute it; the values are deterministic, so either
-// insertion is correct), and the Stats path counters are maintained with
-// sync/atomic. Stats() taken while queries are in flight returns a
-// consistent-enough snapshot for reporting; quiesce all workers first when
-// an exact total is required.
+// worker against one shared instance. It holds no mutable state besides
+// the Stats path counters, which are maintained with sync/atomic. Stats()
+// taken while queries are in flight returns a consistent-enough snapshot
+// for reporting; quiesce all workers first when an exact total is
+// required.
 package oracle
 
 import (
 	"math"
-	"math/big"
-	"sync"
 	"sync/atomic"
 
 	"repro/internal/bigmath"
+	"repro/internal/dd"
 	"repro/internal/fault"
 	"repro/internal/fp"
 	"repro/internal/obs"
 )
 
-// cachePrec is the precision of cached per-mantissa / per-reduced-argument
-// series values. The error of a cached value is below 2^-(cachePrec-28),
-// leaving a huge margin over the ≤ 36-bit formats this project targets.
-const cachePrec = 160
-
 // Stats counts which path answered each query; the generation harness
-// reports them.
+// and the benchmark report them. Every Ziv evaluation follows a quick-phase
+// miss, so Ambiguous always equals FullEvals.
 type Stats struct {
 	Specials  uint64 // NaN/Inf/zero/domain-error semantics
 	Exacts    uint64 // number-theoretically exact results
 	Clamps    uint64 // overflow/underflow range clamps
 	Anchors   uint64 // anchor shortcuts (result adjacent to a known value)
-	Shared    uint64 // identity-sharing cache hits
+	Shared    uint64 // quick-phase (double-double) answers
 	FullEvals uint64 // full Ziv evaluations
-	Ambiguous uint64 // shared-path answers that had to escalate to Ziv
+	Ambiguous uint64 // quick-phase misses sent to the Ziv loop
 }
 
 // Total returns the total number of queries answered.
@@ -82,12 +76,12 @@ func (s Stats) Sub(t Stats) Stats {
 }
 
 // RecordTo writes the snapshot onto sp under the oracle.* counter taxonomy:
-// queries (total answered), cache_hits (identity sharing), ziv_escalations
-// (ambiguous shared answers), full_evals, and shortcuts (specials + exacts
-// + clamps + anchors). Nil-safe like every obs write.
+// queries (total answered), quick (quick-phase answers), ziv_escalations
+// (quick-phase misses), full_evals, and shortcuts (specials + exacts +
+// clamps + anchors). Nil-safe like every obs write.
 func (s Stats) RecordTo(sp *obs.Span) {
 	sp.Add(obs.CtrOracleQueries, int64(s.Total()))
-	sp.Add(obs.CtrOracleCacheHits, int64(s.Shared))
+	sp.Add(obs.CtrOracleQuick, int64(s.Shared))
 	sp.Add(obs.CtrOracleZivEscalations, int64(s.Ambiguous))
 	sp.Add(obs.CtrOracleFullEvals, int64(s.FullEvals))
 	sp.Add(obs.CtrOracleShortcuts, int64(s.Specials+s.Exacts+s.Clamps+s.Anchors))
@@ -101,72 +95,6 @@ type counters struct {
 	anchors   atomic.Uint64
 	shared    atomic.Uint64
 	fullEvals atomic.Uint64
-	ambiguous atomic.Uint64
-}
-
-// cacheStripes is the stripe count of the shared value caches; a power of
-// two so the stripe index is a shift-and-mask.
-const cacheStripes = 64
-
-// bigCache is a lock-striped map from a 64-bit key to an immutable
-// *big.Float, safe for concurrent use by the enumeration workers.
-type bigCache struct {
-	stripes [cacheStripes]struct {
-		mu sync.Mutex
-		m  map[uint64]*big.Float
-	}
-}
-
-func newBigCache() *bigCache {
-	c := &bigCache{}
-	for i := range c.stripes {
-		c.stripes[i].m = make(map[uint64]*big.Float)
-	}
-	return c
-}
-
-func (c *bigCache) stripe(key uint64) *struct {
-	mu sync.Mutex
-	m  map[uint64]*big.Float
-} {
-	// Fibonacci hashing spreads the mantissa-bit keys (whose low bits are
-	// highly structured) across the stripes.
-	return &c.stripes[(key*0x9e3779b97f4a7c15)>>(64-6)&(cacheStripes-1)]
-}
-
-// get returns the cached value for key, computing and inserting it on a
-// miss. compute runs outside the stripe lock, so two goroutines racing on
-// the same key may both compute it; the first insertion wins and the
-// loser's identical value is discarded.
-func (c *bigCache) get(key uint64, compute func() *big.Float) *big.Float {
-	s := c.stripe(key)
-	s.mu.Lock()
-	if v, ok := s.m[key]; ok {
-		s.mu.Unlock()
-		return v
-	}
-	s.mu.Unlock()
-	v := compute()
-	s.mu.Lock()
-	if w, ok := s.m[key]; ok {
-		v = w
-	} else {
-		s.m[key] = v
-	}
-	s.mu.Unlock()
-	return v
-}
-
-// size returns the number of cached values across all stripes.
-func (c *bigCache) size() int {
-	n := 0
-	for i := range c.stripes {
-		s := &c.stripes[i]
-		s.mu.Lock()
-		n += len(s.m)
-		s.mu.Unlock()
-	}
-	return n
 }
 
 // Oracle answers correctly-rounded-result queries for one elementary
@@ -176,26 +104,10 @@ type Oracle struct {
 	fn     bigmath.Func
 	stats  counters
 	faults *fault.Plan
-
-	// logCache maps the frexp mantissa bits of x to f(m) at cachePrec,
-	// where m ∈ [0.5, 1); used by ln/log2/log10.
-	logCache *bigCache
-	// trigCache maps the bits of the exact reduction z = |x| mod 2 to f(z)
-	// at cachePrec; used by sinpi/cospi.
-	trigCache *bigCache
 }
 
 // New returns an oracle for fn.
-func New(fn bigmath.Func) *Oracle {
-	o := &Oracle{fn: fn}
-	switch fn {
-	case bigmath.Ln, bigmath.Log2, bigmath.Log10:
-		o.logCache = newBigCache()
-	case bigmath.SinPi, bigmath.CosPi:
-		o.trigCache = newBigCache()
-	}
-	return o
-}
+func New(fn bigmath.Func) *Oracle { return &Oracle{fn: fn} }
 
 // Func returns the function this oracle answers for.
 func (o *Oracle) Func() bigmath.Func { return o.fn }
@@ -208,14 +120,15 @@ func (o *Oracle) SetFaults(p *fault.Plan) { o.faults = p }
 
 // Stats returns a snapshot of the path counters.
 func (o *Oracle) Stats() Stats {
+	fullEvals := o.stats.fullEvals.Load()
 	return Stats{
 		Specials:  o.stats.specials.Load(),
 		Exacts:    o.stats.exacts.Load(),
 		Clamps:    o.stats.clamps.Load(),
 		Anchors:   o.stats.anchors.Load(),
 		Shared:    o.stats.shared.Load(),
-		FullEvals: o.stats.fullEvals.Load(),
-		Ambiguous: o.stats.ambiguous.Load(),
+		FullEvals: fullEvals,
+		Ambiguous: fullEvals,
 	}
 }
 
@@ -244,11 +157,9 @@ func (o *Oracle) Result(x float64, out fp.Format, mode fp.Mode) uint64 {
 		o.stats.anchors.Add(1)
 		return bits
 	}
-	switch o.fn {
-	case bigmath.Ln, bigmath.Log2, bigmath.Log10:
-		return o.logShared(x, out, mode)
-	case bigmath.SinPi, bigmath.CosPi:
-		return o.trigShared(x, out, mode)
+	if bits, ok := dd.RoundUnambiguous(dd.Eval(o.fn, x), out, mode); ok {
+		o.stats.shared.Add(1)
+		return bits
 	}
 	o.stats.fullEvals.Add(1)
 	return out.FromBig(bigmath.EvalUnambiguous(o.fn, x, out, mode), mode)
@@ -314,6 +225,13 @@ func (o *Oracle) anchorShortcut(x float64, out fp.Format, mode fp.Mode) (uint64,
 		if math.Abs(x) <= math.Ldexp(1, -(p+6)/2-1) {
 			return justAside(out, 1, true, mode), true
 		}
+	case bigmath.CosPi:
+		// 0 < 1 − cos πx ≤ (πx)²/2 < 5x²; with π² folded into two more
+		// bits of the cosh threshold it stays below 2^-(p+8), far inside
+		// half the gap below 1. x ≠ 0 here (exact case).
+		if math.Abs(x) <= math.Ldexp(1, -(p+6)/2-3) {
+			return justAside(out, 1, false, mode), true
+		}
 	}
 	return 0, false
 }
@@ -349,90 +267,4 @@ func justAside(out fp.Format, anchor float64, positiveDelta bool, mode fp.Mode) 
 	}
 	//lint:ignore barepanic exhaustive Mode switch; a new rounding mode is a compile-time change.
 	panic("oracle: bad mode")
-}
-
-// logShared answers log-family queries by combining a cached per-mantissa
-// series value with an exact multiple of a cached constant:
-//
-//	ln(m·2^e)    = ln(m)    + e·ln(2)
-//	log2(m·2^e)  = log2(m)  + e
-//	log10(m·2^e) = log10(m) + e·log10(2)
-//
-// The combined error is far below 2^-(cachePrec-30); if the result still
-// sits too close to a rounding boundary the query escalates to the Ziv
-// loop.
-func (o *Oracle) logShared(x float64, out fp.Format, mode fp.Mode) uint64 {
-	m, e := math.Frexp(x) // x > 0 here
-	key := math.Float64bits(m)
-	fm := o.logCache.get(key, func() *big.Float {
-		if m == 0.5 {
-			// log(0.5) = -log(2): exact constant, avoids Eval at a point
-			// where the log is an exact multiple of the shared constant.
-			switch o.fn {
-			case bigmath.Ln:
-				return new(big.Float).SetPrec(cachePrec).Neg(bigmath.Ln2(cachePrec))
-			case bigmath.Log2:
-				return new(big.Float).SetPrec(cachePrec).SetInt64(-1)
-			case bigmath.Log10:
-				return new(big.Float).SetPrec(cachePrec).Neg(bigmath.Log10Of2(cachePrec))
-			}
-		}
-		return bigmath.Eval(o.fn, m, cachePrec)
-	})
-	y := new(big.Float).SetPrec(cachePrec)
-	eb := new(big.Float).SetPrec(cachePrec).SetInt64(int64(e))
-	switch o.fn {
-	case bigmath.Ln:
-		y.Mul(eb, bigmath.Ln2(cachePrec))
-	case bigmath.Log2:
-		y.Set(eb)
-	case bigmath.Log10:
-		y.Mul(eb, bigmath.Log10Of2(cachePrec))
-	}
-	y.Add(y, fm)
-	if bits, ok := o.roundUnlessAmbiguous(y, out, mode); ok {
-		o.stats.shared.Add(1)
-		return bits
-	}
-	o.stats.ambiguous.Add(1)
-	o.stats.fullEvals.Add(1)
-	return out.FromBig(bigmath.EvalUnambiguous(o.fn, x, out, mode), mode)
-}
-
-// trigShared answers sinπ/cosπ queries from a cache keyed by the exact
-// reduction z = |x| mod 2, using sinπ(-x) = -sinπ(x) and cosπ(-x) = cosπ(x).
-func (o *Oracle) trigShared(x float64, out fp.Format, mode fp.Mode) uint64 {
-	z := math.Mod(math.Abs(x), 2)
-	fz := o.trigCache.get(math.Float64bits(z), func() *big.Float {
-		return bigmath.Eval(o.fn, z, cachePrec)
-	})
-	y := fz
-	if o.fn == bigmath.SinPi && math.Signbit(x) {
-		y = new(big.Float).SetPrec(cachePrec).Neg(fz)
-	}
-	if bits, ok := o.roundUnlessAmbiguous(y, out, mode); ok {
-		o.stats.shared.Add(1)
-		return bits
-	}
-	o.stats.ambiguous.Add(1)
-	o.stats.fullEvals.Add(1)
-	return out.FromBig(bigmath.EvalUnambiguous(o.fn, x, out, mode), mode)
-}
-
-// roundUnlessAmbiguous rounds y whose relative error is below
-// 2^-(cachePrec-32), reporting failure when the error envelope straddles a
-// rounding boundary of (out, mode).
-func (o *Oracle) roundUnlessAmbiguous(y *big.Float, out fp.Format, mode fp.Mode) (uint64, bool) {
-	if y.Sign() == 0 {
-		return 0, false
-	}
-	eps := new(big.Float).SetPrec(32).SetInt64(1)
-	eps.SetMantExp(eps, y.MantExp(nil)-cachePrec+32)
-	lo := new(big.Float).SetPrec(cachePrec+4).Sub(y, eps)
-	hi := new(big.Float).SetPrec(cachePrec+4).Add(y, eps)
-	a, b := out.FromBig(lo, mode), out.FromBig(hi, mode)
-	if a != b {
-		return 0, false
-	}
-	return a, true
 }

@@ -59,7 +59,9 @@ func TestResultMatchesReferenceRandom(t *testing.T) {
 	}
 }
 
-// The shortcut paths must actually fire on their target regions.
+// Every path must actually fire on its target region: the shortcuts, the
+// quick phase, and the Ziv fallback at a format the quick phase's envelope
+// can never decide.
 func TestAccelerationPathsFire(t *testing.T) {
 	out := fp.MustFormat(27, 8)
 
@@ -69,25 +71,66 @@ func TestAccelerationPathsFire(t *testing.T) {
 	o.Result(-500, out, fp.RoundNearestEven)         // underflow clamp
 	o.Result(0, out, fp.RoundNearestEven)            // exact
 	o.Result(math.Inf(1), out, fp.RoundNearestEven)  // special
-	o.Result(1.5, out, fp.RoundNearestEven)          // full eval
+	o.Result(1.5, out, fp.RoundNearestEven)          // quick phase
 	s := o.Stats()
-	if s.Anchors != 1 || s.Clamps != 2 || s.Exacts != 1 || s.Specials != 1 || s.FullEvals != 1 {
+	if s.Anchors != 1 || s.Clamps != 2 || s.Exacts != 1 || s.Specials != 1 || s.Shared != 1 || s.FullEvals != 0 {
 		t.Errorf("exp stats: %+v", s)
 	}
 
-	ol := New(bigmath.Ln)
-	ol.Result(1.5, out, fp.RoundToOdd)
-	ol.Result(3.0, out, fp.RoundToOdd) // same mantissa as 1.5: cache hit
-	if s := ol.Stats(); s.Shared != 2 || ol.logCache.size() != 1 {
-		t.Errorf("ln stats: %+v cache=%d", s, ol.logCache.size())
+	// F(60,8) carries 51 mantissa bits: its rounding boundaries lie closer
+	// together than the 2^-50 envelope is wide, so every query escalates.
+	wide := fp.MustFormat(60, 8)
+	ow := New(bigmath.Exp)
+	for _, mode := range fp.AllModes {
+		if got, want := ow.Result(1.5, wide, mode), bigmath.CorrectlyRounded(bigmath.Exp, 1.5, wide, mode); got != want {
+			t.Errorf("exp(1.5) F60,8 %v: got %#x want %#x", mode, got, want)
+		}
+	}
+	if s := ow.Stats(); s.Shared != 0 || s.Ambiguous != uint64(len(fp.AllModes)) || s.FullEvals != s.Ambiguous {
+		t.Errorf("exp F60,8 stats: %+v", s)
 	}
 
-	ot := New(bigmath.SinPi)
-	ot.Result(0.3125, out, fp.RoundToOdd)
-	ot.Result(2.3125, out, fp.RoundToOdd)  // binary-exact: reduces to same z
-	ot.Result(-0.3125, out, fp.RoundToOdd) // odd symmetry, same cache entry
-	if s := ot.Stats(); s.Shared != 3 || ot.trigCache.size() != 1 {
-		t.Errorf("sinpi stats: %+v cache=%d", s, ot.trigCache.size())
+	oc := New(bigmath.CosPi)
+	oc.Result(math.Ldexp(1, -40), out, fp.RoundToOdd) // anchor
+	oc.Result(0.3125, out, fp.RoundToOdd)             // quick phase
+	if s := oc.Stats(); s.Anchors != 1 || s.Shared != 1 || s.FullEvals != 0 {
+		t.Errorf("cospi stats: %+v", s)
+	}
+}
+
+// cospiAnchor mirrors anchorShortcut's cospi threshold for out.
+func cospiAnchor(out fp.Format) float64 { return math.Ldexp(1, -(out.MantBits()+6)/2-3) }
+
+// The cospi anchor at its edge: ±threshold (anchored) and the inputs one
+// encoding either side of it, for every round-to-odd target F(k+2,8) of the
+// served formats and every mode, against the unaccelerated reference.
+func TestCosPiAnchorEdge(t *testing.T) {
+	for k := 10; k <= 22; k++ {
+		in := fp.MustFormat(k, 8)
+		out := in.Extend(2)
+		th := in.FromFloat64(cospiAnchor(out), fp.RoundNearestEven)
+		if in.Decode(th) != cospiAnchor(out) {
+			t.Fatalf("%v: threshold %g not representable", in, cospiAnchor(out))
+		}
+		o := New(bigmath.CosPi)
+		for _, b := range []uint64{in.NextDown(th), th, in.NextUp(th)} {
+			for _, neg := range []bool{false, true} {
+				x := in.Decode(b)
+				if neg {
+					x = -x
+				}
+				for _, mode := range fp.AllModes {
+					before := o.Stats().Anchors
+					got := o.Result(x, out, mode)
+					if want := bigmath.CorrectlyRounded(bigmath.CosPi, x, out, mode); got != want {
+						t.Errorf("cospi(%g) %v %v: got %#x want %#x", x, out, mode, got, want)
+					}
+					if anchored := o.Stats().Anchors > before; anchored != (b != in.NextUp(th)) {
+						t.Errorf("cospi(%g) %v: anchored=%v", x, out, anchored)
+					}
+				}
+			}
+		}
 	}
 }
 
@@ -180,25 +223,20 @@ func TestConcurrentResultRaceFree(t *testing.T) {
 	}
 }
 
+// BenchmarkOracleResult times one query per iteration for each function,
+// over the tensorfloat32 inputs in a fixed odd stride, at the round-to-odd
+// F21 target a certification pass asks for.
 func BenchmarkOracleResult(b *testing.B) {
-	out := fp.MustFormat(27, 8)
-	benches := []struct {
-		name string
-		fn   bigmath.Func
-		gen  func(*rand.Rand) float64
-	}{
-		{"ln-shared", bigmath.Ln, func(r *rand.Rand) float64 {
-			return math.Ldexp(1+r.Float64(), r.Intn(200)-100)
-		}},
-		{"exp-core", bigmath.Exp, func(r *rand.Rand) float64 { return r.Float64()*170 - 85 }},
-		{"sinpi-shared", bigmath.SinPi, func(r *rand.Rand) float64 { return r.Float64() * 4 }},
-	}
-	for _, bench := range benches {
-		b.Run(bench.name, func(b *testing.B) {
-			o := New(bench.fn)
-			rng := rand.New(rand.NewSource(31))
+	in := fp.TensorFloat32
+	out := in.Extend(2)
+	const stride = 0x9e37 // odd: visits every input once per cycle
+	for _, fn := range bigmath.AllFuncs {
+		b.Run(fn.String(), func(b *testing.B) {
+			o := New(fn)
+			bits := uint64(0)
 			for i := 0; i < b.N; i++ {
-				o.Result(bench.gen(rng), out, fp.RoundToOdd)
+				o.Result(in.Decode(bits), out, fp.RoundToOdd)
+				bits = (bits + stride) & (in.NumValues() - 1)
 			}
 		})
 	}

@@ -76,8 +76,21 @@ type TwoPoly interface {
 // ForFunc returns the scheme implementing f: a LogScheme, ExpScheme,
 // SinhCoshScheme or SinCosPiScheme value. The concrete types are exported so
 // the batch kernel (internal/eval) can call the same method bodies the
-// generator replays, directly instead of through the interface.
+// generator replays, directly instead of through the interface. The values
+// are immutable and boxed once, at init, so a call allocates nothing.
 func ForFunc(f bigmath.Func) Scheme {
+	if f < 0 || f >= bigmath.NumFuncs {
+		//lint:ignore barepanic exhaustive Func switch; a new function is a compile-time change.
+		panic("reduction: unknown function")
+	}
+	return schemes[f]
+}
+
+// schemes holds ForFunc's values; the init that builds the constant tables
+// fills it last, since the log and exp schemes copy those constants.
+var schemes [bigmath.NumFuncs]Scheme
+
+func newScheme(f bigmath.Func) Scheme {
 	switch f {
 	case bigmath.Ln, bigmath.Log2, bigmath.Log10:
 		return newLogScheme(f)
@@ -85,11 +98,8 @@ func ForFunc(f bigmath.Func) Scheme {
 		return newExpScheme(f)
 	case bigmath.Sinh, bigmath.Cosh:
 		return SinhCoshScheme{fn: f}
-	case bigmath.SinPi, bigmath.CosPi:
-		return SinCosPiScheme{fn: f}
 	}
-	//lint:ignore barepanic exhaustive Func switch; a new function is a compile-time change.
-	panic("reduction: unknown function")
+	return SinCosPiScheme{fn: f}
 }
 
 // saturate returns the overflow proxy with the sign of x.

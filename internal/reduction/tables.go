@@ -118,6 +118,9 @@ func init() {
 	log102Double, _ = bigmath.Log10Of2(64).Float64()
 	lg2Over64Hi, lg2Over64Lo = hiLoSplit(bigmath.Log10Of2(128), 64)
 	invLg2Times64 = 64 / log102Double
+	for f := range schemes {
+		schemes[f] = newScheme(bigmath.Func(f))
+	}
 }
 
 // hiLoSplit returns (hi, lo) with hi = c/div rounded to 32 bits and lo the
