@@ -157,9 +157,9 @@ fuzz:
 loc:
 	@git ls-files '*.go' | grep -v '_test\.go$$' | grep -v '\(^\|/\)zz_' | grep -v '^bench/' | xargs cat | wc -l
 
-# The clarkson suite alone runs ~9 min under -race on one core; give the
-# binary headroom over go test's 10-minute default so a loaded machine
-# doesn't flake the gate.
+# The clarkson suite alone runs ~3-4 min under -race on one core; the
+# whole tree's race run gets headroom over go test's 10-minute default so
+# a loaded machine doesn't flake the gate.
 race:
 	$(GO) test -race -timeout 30m ./...
 

@@ -50,6 +50,7 @@ var enumCodec = pipeline.Codec[*rawSet]{
 	Name:    "gen-intervals",
 	Version: 1,
 	Encode: func(e *pipeline.Enc, rs *rawSet) {
+		e.Grow(rs.encodedSize())
 		e.Int(len(rs.raw))
 		if len(rs.raw) > 0 {
 			e.Int(len(rs.raw[0]))
@@ -113,11 +114,28 @@ var enumCodec = pipeline.Codec[*rawSet]{
 	},
 }
 
+// encodedSize is the exact length of rs's enumCodec payload: four header
+// words, then a length word per level list and four words per row, then a
+// length word per special set and one word per input.
+func (rs *rawSet) encodedSize() int {
+	size := 4 * 8
+	for _, perLevel := range rs.raw {
+		for _, raw := range perLevel {
+			size += 8 + 4*8*len(raw)
+		}
+	}
+	for _, sp := range rs.specials {
+		size += 8 + 8*len(sp)
+	}
+	return size
+}
+
 // constraintCodec encodes the Reduce-stage artifact (constraintSet).
 var constraintCodec = pipeline.Codec[*constraintSet]{
 	Name:    "gen-constraints",
 	Version: 1,
 	Encode: func(e *pipeline.Enc, cs *constraintSet) {
+		e.Grow(cs.encodedSize())
 		e.Int(len(cs.perKernel))
 		if len(cs.perKernel) > 0 {
 			e.Int(len(cs.perKernel[0]))
@@ -195,6 +213,26 @@ var constraintCodec = pipeline.Codec[*constraintSet]{
 		}
 		return cs, d.Err()
 	},
+}
+
+// encodedSize is the exact length of cs's constraintCodec payload: four
+// header words, then a length word per level and five words plus one per
+// input for each merged row, then a length word per special set and one
+// word per input.
+func (cs *constraintSet) encodedSize() int {
+	size := 4 * 8
+	for _, perLevel := range cs.perKernel {
+		for _, lc := range perLevel {
+			size += 8
+			for mi := range lc.merged {
+				size += 5*8 + 8*len(lc.rowInputs[mi])
+			}
+		}
+	}
+	for _, set := range cs.specials {
+		size += 8 + 8*len(set)
+	}
+	return size
 }
 
 // ResultCodec encodes a generated Result for the solve and verify stage

@@ -189,13 +189,27 @@ func checkTruncation[T any](t *testing.T, c pipeline.Codec[T], v T, rng *rand.Ra
 	return true
 }
 
+// checkSize verifies that a codec's announced payload size (what it
+// passes to Enc.Grow) is the exact encoded length.
+func checkSize[T any](t *testing.T, c pipeline.Codec[T], v T, size int) bool {
+	t.Helper()
+	var e pipeline.Enc
+	c.Encode(&e, v)
+	if len(e.Bytes()) != size {
+		t.Errorf("%s: encoded %d bytes, encodedSize says %d", c.Name, len(e.Bytes()), size)
+		return false
+	}
+	return true
+}
+
 func quickConf() *quick.Config { return &quick.Config{MaxCount: 60} }
 
 func TestEnumCodecProperty(t *testing.T) {
 	if err := quick.Check(func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		rs := randRawSet(rng)
-		return checkRoundTrip(t, enumCodec, rs) && checkTruncation(t, enumCodec, rs, rng)
+		return checkRoundTrip(t, enumCodec, rs) && checkTruncation(t, enumCodec, rs, rng) &&
+			checkSize(t, enumCodec, rs, rs.encodedSize())
 	}, quickConf()); err != nil {
 		t.Fatal(err)
 	}
@@ -205,7 +219,8 @@ func TestConstraintCodecProperty(t *testing.T) {
 	if err := quick.Check(func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		cs := randConstraintSet(rng)
-		return checkRoundTrip(t, constraintCodec, cs) && checkTruncation(t, constraintCodec, cs, rng)
+		return checkRoundTrip(t, constraintCodec, cs) && checkTruncation(t, constraintCodec, cs, rng) &&
+			checkSize(t, constraintCodec, cs, cs.encodedSize())
 	}, quickConf()); err != nil {
 		t.Fatal(err)
 	}

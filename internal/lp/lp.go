@@ -4,8 +4,22 @@
 //
 //   - a dense two-phase float64 simplex (fast path, used for the thousands
 //     of Clarkson sample solves), and
-//   - an exact arbitrary-precision rational simplex with Bland's rule (the
-//     SoPlex substitute: guaranteed-terminating, exact arithmetic).
+//   - an exact simplex with Bland's rule (the SoPlex substitute:
+//     guaranteed-terminating, exact arithmetic).
+//
+// The exact simplex keeps no fractions. Every float64 is a dyadic
+// rational, so scaling each structural column and the right-hand side by
+// a power of two makes the whole tableau integral, and Edmonds'
+// integer-preserving pivot keeps it so: integer numerators over one
+// common denominator, each pivot an exact big.Int division with no gcd.
+// The pivot path is the textbook rational tableau's, step for step.
+// Positive column scalings keep the sign of every reduced cost and the
+// order, ties included, of every ratio-test quotient, and the numerators
+// over the denominator are the rational entries themselves, so Bland's
+// rule picks the same entering and leaving pair at every step and ends in
+// the same basis. The optimum, and its rounding to float64, is therefore
+// bit-identical to that of a big.Rat tableau (exact_test.go checks this
+// against one).
 //
 // Rather than an arbitrary vertex, both solvers maximize the relative
 // margin δ: each constraint is tightened to lo_i + δ·w_i ≤ a_i·x ≤

@@ -280,6 +280,11 @@ func BenchmarkFloatSimplex(b *testing.B) {
 	b.ReportMetric(float64(numeric)/float64(b.N), "numeric-bailout-rate")
 }
 
+// BenchmarkExactSimplex times SolveMaxMarginExact on a 96-row k=4
+// Vandermonde system and on a gen-shaped sample (k=3, 6k² = 54 rows, one
+// of them an equality — the shape that sends a Clarkson sample to the
+// exact solver). It reports allocations: they are most of a big-number
+// solver's cost.
 func BenchmarkExactSimplex(b *testing.B) {
 	rng := rand.New(rand.NewSource(43))
 	k := 4
@@ -300,10 +305,45 @@ func BenchmarkExactSimplex(b *testing.B) {
 		w := math.Ldexp(1, -25)
 		p.Constraints = append(p.Constraints, Constraint{Coeffs: coeffs, Lo: v - w, Hi: v + w})
 	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := SolveMaxMarginExact(p); err != nil {
-			b.Fatal(err)
-		}
+	for _, c := range []struct {
+		name string
+		p    Problem
+	}{{"k4-96rows", p}, {"gen-k3-54rows-eq", genShapedProblem(3)}} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := SolveMaxMarginExact(c.p); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
+}
+
+// genShapedProblem builds a system shaped like one gen-cold exact solve:
+// k coefficients, 6k² Vandermonde rows at reduced-domain points around a
+// ground-truth polynomial, the first row an equality (an exact result).
+func genShapedProblem(k int) Problem {
+	rng := rand.New(rand.NewSource(44))
+	truth := make([]float64, k)
+	for j := range truth {
+		truth[j] = rng.NormFloat64()
+	}
+	p := Problem{NumVars: k}
+	for i := 0; i < 6*k*k; i++ {
+		r := rng.Float64() / 64
+		coeffs := make([]float64, k)
+		pow := 1.0
+		for j := range coeffs {
+			coeffs[j] = pow
+			pow *= r
+		}
+		v := Constraint{Coeffs: coeffs}.Eval(truth)
+		w := math.Ldexp(1, -25)
+		if i == 0 {
+			w = 0
+		}
+		p.Constraints = append(p.Constraints, Constraint{Coeffs: coeffs, Lo: v - w, Hi: v + w})
+	}
+	return p
 }

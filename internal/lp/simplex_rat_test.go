@@ -5,16 +5,13 @@ import (
 	"math/big"
 )
 
-// SolveMaxMarginExact solves the margin LP in exact rational arithmetic
-// with Bland's rule — the package's SoPlex substitute. Every float64
-// coefficient and bound converts exactly to a rational, the simplex is
-// exact and guaranteed to terminate, and infeasibility/optimality are
-// certificates rather than numerical judgements. The solution vector is
-// rounded to the nearest float64s only on return.
-//
-// The cost is polynomial but with rational-arithmetic constants: intended
-// for the Clarkson samples (hundreds of rows), not for millions of rows.
-func SolveMaxMarginExact(p Problem) (Solution, error) {
+// solveMaxMarginRat is the reference exact solver the fraction-free
+// tableau of SolveMaxMarginExact is tested against: the same rows, the
+// same two-phase Bland's-rule simplex, over a big.Rat tableau that
+// normalises every entry after every operation. It is slow (one gcd per
+// entry update) but obviously exact, so any difference in X bits or
+// error between the two solvers is a defect of the integer tableau.
+func solveMaxMarginRat(p Problem) (Solution, error) {
 	if err := p.validate(); err != nil {
 		return Solution{}, err
 	}

@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 )
 
 // ErrCorrupt marks an artifact that cannot be trusted: truncated, failing
@@ -26,9 +27,13 @@ const checksumSize = sha256.Size
 // Seal frames a codec payload for storage: magic, codec name, codec
 // version, payload length, payload, then a SHA-256 checksum over
 // everything before it. Every field is fixed-width little-endian, so
-// sealing is deterministic: equal payloads seal to equal bytes.
+// sealing is deterministic: equal payloads seal to equal bytes. The frame
+// is built in one buffer of its final size, so sealing a large artifact
+// holds one extra copy of the payload, not the several an appending
+// buffer would leave behind while it doubles.
 func Seal(name string, version uint32, payload []byte) []byte {
-	var e Enc
+	size := len(frameMagic) + 8 + len(name) + 4 + 8 + len(payload) + checksumSize
+	e := Enc{buf: make([]byte, 0, size)}
 	e.buf = append(e.buf, frameMagic[:]...)
 	e.Int(len(name))
 	e.buf = append(e.buf, name...)
@@ -107,6 +112,11 @@ type Enc struct {
 
 // Bytes returns the accumulated payload.
 func (e *Enc) Bytes() []byte { return e.buf }
+
+// Grow makes room for n more bytes. A codec that knows its payload size
+// calls it first, so a large artifact is encoded into one buffer rather
+// than through a chain of ever larger copies.
+func (e *Enc) Grow(n int) { e.buf = slices.Grow(e.buf, n) }
 
 // U32 appends a fixed-width uint32.
 func (e *Enc) U32(v uint32) { e.buf = binary.LittleEndian.AppendUint32(e.buf, v) }

@@ -1,7 +1,10 @@
 package pipeline
 
 import (
+	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/binary"
 	"errors"
 	"math"
 	"math/rand"
@@ -375,6 +378,34 @@ func TestAuditFlagsTempAndCorruptFiles(t *testing.T) {
 	}
 	if err := st.Audit(); !errors.Is(err, ErrCorrupt) {
 		t.Errorf("audit of truncated artifact: %v", err)
+	}
+}
+
+// TestSealLayout pins the frame byte for byte (magic, name length and
+// name, version, payload length, payload, then the SHA-256 of all of it)
+// and that Seal builds it in one allocation of exactly its final size.
+func TestSealLayout(t *testing.T) {
+	payload := make([]byte, 1000)
+	rand.New(rand.NewSource(7)).Read(payload)
+	var want []byte
+	want = append(want, "RLBMART1"...)
+	want = binary.LittleEndian.AppendUint64(want, uint64(len("codec")))
+	want = append(want, "codec"...)
+	want = binary.LittleEndian.AppendUint32(want, 5)
+	want = binary.LittleEndian.AppendUint64(want, uint64(len(payload)))
+	want = append(want, payload...)
+	sum := sha256.Sum256(want)
+	want = append(want, sum[:]...)
+
+	got := Seal("codec", 5, payload)
+	if !bytes.Equal(got, want) {
+		t.Fatalf("sealed frame differs from the documented layout")
+	}
+	if cap(got) != len(got) {
+		t.Errorf("cap = %d, len = %d: frame not sized once", cap(got), len(got))
+	}
+	if allocs := testing.AllocsPerRun(10, func() { Seal("codec", 5, payload) }); allocs != 1 {
+		t.Errorf("Seal allocates %v times, want 1", allocs)
 	}
 }
 
